@@ -34,20 +34,8 @@ RUN_LIMIT_S = 170
 def time_left(start):
     return max(1.0, start + RUN_LIMIT_S - time.time())
 
-# Workload -> whether its measuring process is pinned to one CPU.
-WORKLOADS = {
-    "antisat-1cpu": True,
-    "sfll-store": True,
-    "daemon-service": True,
-    "antisat-allcpu": False,
-}
-
-# The bounded metrics, as BENCHMARK.json lists them. The binary also
-# prints `warm_ms_p90`, unbounded: see README.md.
-END_TO_END = [
-    "setup_s", "cells_per_s", "submit_done_ms_p50", "warm_ms_p50", "rtt_ms_p50",
-    "rtt_ms_p90", "removal_success", "post_accuracy", "success_rate", "peak_rss_mb",
-]
+# Every workload's measuring process is pinned to one CPU.
+WORKLOADS = ["antisat-1cpu", "sfll-store", "daemon-service"]
 
 
 def log(*parts):
@@ -66,14 +54,19 @@ def build():
     return os.path.join(target, "release", "perfbench")
 
 
-def cpu_plan(pinned):
+def metric_names(trace):
+    """The metrics BENCHMARK.json lists for this mode, in its order."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    return [m["name"] for m in spec["per_layer" if trace else "end_to_end"]]
+
+
+def cpu_plan():
     """(cpus of the process doing the work, cpus of a daemon's client).
 
     The work runs on the highest CPU this process may use, on every run;
     a daemon's client gets the lowest, so it does not compete with it."""
     allowed = sorted(os.sched_getaffinity(0))
-    if not pinned:
-        return allowed, allowed
     work = [allowed[-1]]
     client = [allowed[0]] if len(allowed) > 1 else work
     return work, client
@@ -175,7 +168,7 @@ def cpu_model():
 
 def main():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    p.add_argument("--workload", required=True, choices=WORKLOADS)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--trace", type=int, choices=[0, 1], default=0)
@@ -184,8 +177,7 @@ def main():
 
     binary = build()
     start = time.time()
-    pinned = WORKLOADS[args.workload]
-    cpus = cpu_plan(pinned)
+    cpus = cpu_plan()
     base = os.path.join(WORK, f"{args.workload}-{args.seed}-{args.trace}-{os.getpid()}")
     failures, attempted, setups, references = [], 0, [], set()
     result = None
@@ -206,7 +198,8 @@ def main():
         metrics = result["metrics"]
         if args.trace:
             # The four kernels on the workload's pinned CPU and on every CPU.
-            for suffix, cpu_set in (("1cpu", cpu_plan(True)[0]), ("allcpu", cpu_plan(False)[0])):
+            every_cpu = sorted(os.sched_getaffinity(0))
+            for suffix, cpu_set in (("1cpu", cpus[0]), ("allcpu", every_cpu)):
                 out = run_child([binary, "neural", "--workload", args.workload,
                                  "--seed", str(args.seed), "--suffix", suffix]
                                 + (["--tiny"] if args.tiny else []), cpu_set,
@@ -241,12 +234,12 @@ def main():
         "failed": len(failures),
         "metrics": {k: {"value": v["value"], "unit": v["unit"]} for k, v in metrics.items()},
     }
-    if not args.trace:
-        missing = [m for m in END_TO_END if m not in doc["metrics"]]
-        if missing:
-            log(f"perfbench: missing metrics {missing}")
-            sys.exit(2)
-        doc["metrics"] = {m: doc["metrics"][m] for m in END_TO_END}
+    names = metric_names(args.trace)
+    missing = [m for m in names if m not in doc["metrics"]]
+    if missing:
+        log(f"perfbench: missing metrics {missing}")
+        sys.exit(2)
+    doc["metrics"] = {m: doc["metrics"][m] for m in names}
     print(json.dumps(doc))
     sys.exit(0 if correct else 1)
 

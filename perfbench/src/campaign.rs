@@ -1,5 +1,4 @@
-//! The in-process campaign workloads: `antisat-1cpu`, `antisat-allcpu`
-//! and `sfll-store`.
+//! The in-process campaign workloads: `antisat-1cpu` and `sfll-store`.
 //!
 //! Each round runs one cold campaign, then re-runs it warm (every job a
 //! cache hit: the executor's memory tier for Anti-SAT, the persisted
@@ -17,8 +16,8 @@ use gnnunlock_core::{
     AttackConfig, AttackOutcome, DatasetConfig, Suite,
 };
 use gnnunlock_engine::{
-    CampaignRun, CampaignRunner, DiskStore, Event, EventLog, ExecConfig, Executor, LocalDirBackend,
-    ReportOptions, ResultCache, StoreBackend, EVENTS_FILE,
+    CampaignRun, CampaignRunner, DiskStore, Event, EventLog, ExecConfig, Executor, JobKind,
+    LocalDirBackend, ReportOptions, ResultCache, RunStats, StoreBackend, EVENTS_FILE,
 };
 use gnnunlock_netlist::CellLibrary;
 use gnnunlock_telemetry::{derived_id, SpanRecord};
@@ -27,12 +26,15 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Engine workers of every campaign workload: its process is pinned to
+/// one CPU, where more workers would only take turns.
+const WORKERS: usize = 1;
+
 /// One in-process campaign workload.
 pub struct CampaignWorkload {
     name: String,
     ds: DatasetConfig,
     attack: AttackConfig,
-    workers: usize,
     /// Persist into a fresh store per round (`sfll-store`) instead of
     /// keeping results in the executor's memory tier.
     persistent: bool,
@@ -77,20 +79,15 @@ pub fn inputs(
 impl CampaignWorkload {
     /// The workload named `name`, its inputs derived from `seed`.
     pub fn new(name: &str, seed: u64, shape: &Shape, work: &Path) -> Option<Self> {
-        let (ds, workers, persistent) = match name {
-            "antisat-1cpu" | "antisat-allcpu" => {
+        let (ds, persistent) = match name {
+            "antisat-1cpu" => {
                 let ds = DatasetConfig {
                     key_sizes: shape.key_sizes.clone(),
                     locks_per_config: shape.locks,
                     seed: derived_id(seed, "antisat-dataset"),
                     ..DatasetConfig::antisat(Suite::Iscas85, shape.scale)
                 };
-                let workers = if name == "antisat-1cpu" {
-                    1
-                } else {
-                    gnnunlock_engine::default_workers()
-                };
-                (ds, workers, false)
+                (ds, false)
             }
             "sfll-store" => {
                 let ds = DatasetConfig {
@@ -99,7 +96,7 @@ impl CampaignWorkload {
                     seed: derived_id(seed, "sfll-dataset"),
                     ..DatasetConfig::sfll(Suite::Iscas85, 2, CellLibrary::Lpe65, shape.scale)
                 };
-                (ds, 1, true)
+                (ds, true)
             }
             _ => return None,
         };
@@ -110,7 +107,6 @@ impl CampaignWorkload {
                 train: shape.train(seed),
                 ..AttackConfig::default()
             },
-            workers,
             persistent,
             warm_per_round: if persistent { 25 } else { 40 },
             renders_per_round: if persistent { 120 } else { 60 },
@@ -124,7 +120,7 @@ impl CampaignWorkload {
 
     /// A cold run: a fresh executor, or a fresh store directory `dir`.
     fn cold(&self, dir: &Path, traced: bool) -> Result<(Ran, Executor), String> {
-        let ex = Executor::new(ExecConfig::with_workers(self.workers));
+        let ex = Executor::new(ExecConfig::with_workers(WORKERS));
         let ran = self.run_on(&ex, dir, traced)?;
         Ok((ran, ex))
     }
@@ -138,7 +134,7 @@ impl CampaignWorkload {
                 (r.run, r.outcomes)
             }
             (true, false) => {
-                let cfg = ExecConfig::with_workers(self.workers);
+                let cfg = ExecConfig::with_workers(WORKERS);
                 let r = run_campaign_persistent(&self.name, &self.ds, &self.attack, cfg, dir)
                     .map_err(|e| format!("persistent campaign: {e}"))?;
                 (r.run, r.outcomes)
@@ -182,7 +178,7 @@ impl CampaignWorkload {
         let store = Arc::new(DiskStore::open_with_backend(dir, "", backend)?);
         let codec = runner.codec().expect("the attack runner has a codec");
         let log = Arc::new(EventLog::create(&dir.join(EVENTS_FILE))?);
-        let ex = Executor::new(ExecConfig::with_workers(self.workers))
+        let ex = Executor::new(ExecConfig::with_workers(WORKERS))
             .with_cache(Arc::new(ResultCache::with_disk(store, codec)))
             .with_events(log.clone());
         log.append(&Event::RunStarted {
@@ -235,7 +231,7 @@ fn check_cold(ran: &Ran, reference: &Reference) -> Result<(), String> {
     if !ran.run.outcome.all_succeeded() {
         return Err(format!("cold campaign: {:?}", ran.run.outcome.stats));
     }
-    if digest(report_text(&ran.run).as_bytes()) != reference.report {
+    if digest(&report_text(&ran.run)) != reference.report {
         return Err("cold report differs from the first cold report".into());
     }
     if quality(&ran.outcomes) != reference.quality {
@@ -254,7 +250,7 @@ fn check_warm(ran: &Ran, reference: &Reference, persistent: bool) -> Result<(), 
     if stats.executed != 0 || hits != stats.total {
         return Err(format!("warm re-run was not all cache hits: {stats:?}"));
     }
-    if digest(report_text(&ran.run).as_bytes()) != reference.report {
+    if digest(&report_text(&ran.run)) != reference.report {
         return Err("warm report differs from the cold report".into());
     }
     if quality(&ran.outcomes) != reference.quality {
@@ -307,8 +303,8 @@ struct Samples {
     traced_cold_ms: Vec<f64>,
     traced_warm_ms: Vec<f64>,
     /// `(campaign span id, executor wall ms, stats)` of traced runs.
-    traced_cold: Vec<(u64, f64, gnnunlock_engine::RunStats)>,
-    traced_warm: Vec<(u64, f64, gnnunlock_engine::RunStats)>,
+    traced_cold: Vec<(u64, f64, RunStats)>,
+    traced_warm: Vec<(u64, f64, RunStats)>,
     encoded_bytes: Vec<f64>,
     decoded_bytes: Vec<f64>,
 }
@@ -330,21 +326,24 @@ pub fn run(args: &Args, shape: &Shape) -> Result<(Metrics, Ledger), String> {
     let pid = std::process::id();
     let mut ledger = Ledger::default();
 
-    // Set-up: inputs are derived; warm up with one cold and one warm run.
+    // Set-up: inputs are derived; warm up with one cold and one warm run,
+    // whose results are all released before the first measured campaign.
     let dir = w.store_dir("warmup");
-    let (first, ex) = w.cold(&dir, false)?;
-    let reference = Reference {
-        report: digest(report_text(&first.run).as_bytes()),
-        quality: quality(&first.outcomes),
+    let reference = {
+        let (first, ex) = w.cold(&dir, false)?;
+        let reference = Reference {
+            report: digest(&report_text(&first.run)),
+            quality: quality(&first.outcomes),
+        };
+        if !first.run.outcome.all_succeeded() || reference.quality.0 == 0 {
+            return Err(format!(
+                "warm-up campaign failed: {:?}",
+                first.run.outcome.stats
+            ));
+        }
+        check_warm(&w.run_on(&ex, &dir, false)?, &reference, w.persistent)?;
+        reference
     };
-    if !first.run.outcome.all_succeeded() || reference.quality.0 == 0 {
-        return Err(format!(
-            "warm-up campaign failed: {:?}",
-            first.run.outcome.stats
-        ));
-    }
-    let warm = w.run_on(&ex, &dir, false)?;
-    check_warm(&warm, &reference, w.persistent)?;
     let _ = std::fs::remove_dir_all(&dir);
     ledger.reference = format!(
         "report={} cells={} removal_success={} post_accuracy={}",
@@ -365,16 +364,23 @@ pub fn run(args: &Args, shape: &Shape) -> Result<(Metrics, Ledger), String> {
     let proc0 = probe::proc_sample(pid);
     let start = Instant::now();
     let mut round = 0usize;
+    // The last round's store and executor, kept for the sat probe.
     let mut last: Option<(PathBuf, Executor, usize)> = None;
     // Whole cycles over the sub-seeds, so every dataset weighs the same;
     // a traced run alternates whole plain and traced cycles.
     while !round.is_multiple_of(ws.len())
         || (args.trace && round < 2 * ws.len())
-        || keep_going(args, start, &[(&s.warm_ms, 0.9), (&s.render_ms, 0.9)])
+        || keep_going(args, start, &[(&s.render_ms, 0.9)])
     {
         let j = round % ws.len();
         let w = &ws[j];
         let traced = args.trace && (round / ws.len()) % 2 == 1;
+        // Release the previous round's results before the peak is reset,
+        // so that the peak is this campaign's alone.
+        if let Some((old, _, _)) = last.take() {
+            let _ = std::fs::remove_dir_all(old);
+        }
+        probe::release_free_heap();
         let dir = w.store_dir(&round.to_string());
         let tag = format!("cold-{round}");
         let id = derived_id(0, &tag);
@@ -396,7 +402,7 @@ pub fn run(args: &Args, shape: &Shape) -> Result<(Metrics, Ledger), String> {
         // The first cold run of a dataset is its reference.
         let reference = refs[j]
             .get_or_insert_with(|| Reference {
-                report: digest(report_text(&cold.run).as_bytes()),
+                report: digest(&report_text(&cold.run)),
                 quality: quality(&cold.outcomes),
             })
             .clone();
@@ -448,14 +454,11 @@ pub fn run(args: &Args, shape: &Shape) -> Result<(Metrics, Ledger), String> {
             let t = Instant::now();
             let text = report_text(&cold.run);
             s.render_ms.push(ms_since(t));
-            ledger.op(if digest(text.as_bytes()) == reference.report {
+            ledger.op(if digest(&text) == reference.report {
                 Ok(())
             } else {
                 Err("rendered report differs".into())
             });
-        }
-        if let Some((old, _, _)) = last.take() {
-            let _ = std::fs::remove_dir_all(old);
         }
         last = Some((dir, ex, j));
         round += 1;
@@ -465,7 +468,7 @@ pub fn run(args: &Args, shape: &Shape) -> Result<(Metrics, Ledger), String> {
 
     let mut m = Metrics::default();
     if args.trace {
-        ledger.op(traced_metrics(&args.trace_out(), &s, &mut m)
+        ledger.op(traced_metrics(&args.trace_out(), &s, w.persistent, &mut m)
             .map(|n| println!("trace: {n} spans validated")));
         let cells = s.cells.max(1);
         m.put(
@@ -504,7 +507,6 @@ pub fn run(args: &Args, shape: &Shape) -> Result<(Metrics, Ledger), String> {
         m.put_median("cells_per_s", &s.cells_per_s, "cells/s");
         m.put_median("submit_done_ms_p50", &s.cold_ms, "ms");
         m.put_median("warm_ms_p50", &s.warm_ms, "ms");
-        m.put_tail("warm_ms_p90", &s.warm_ms, 0.9, "ms");
         m.put_median("rtt_ms_p50", &s.render_ms, "ms");
         m.put_tail("rtt_ms_p90", &s.render_ms, 0.9, "ms");
         // Means over the sub-seeds' datasets, each deterministic.
@@ -537,20 +539,51 @@ pub fn run(args: &Args, shape: &Shape) -> Result<(Metrics, Ledger), String> {
     Ok((m, ledger))
 }
 
+/// A traced campaign: its span accounting, executor wall ms and stats.
+type Traced = (Accounting, f64, RunStats);
+
+/// Fails unless the decorators were reached: every traced cold campaign
+/// has stage spans and, when the workload persists, every traced
+/// campaign, cold or warm, has codec and store spans.
+fn check_decorated(cold: &[Traced], warm: &[Traced], persistent: bool) -> Result<(), String> {
+    if cold.is_empty() {
+        return Err("no traced campaign ran".into());
+    }
+    if cold
+        .iter()
+        .any(|(a, _, _)| !a.by_cat.contains_key(JobKind::TrainEpoch.tag()))
+    {
+        return Err("a traced cold campaign recorded no stage spans".into());
+    }
+    let io: &[&str] = if persistent { &["codec", "store"] } else { &[] };
+    let phases = cold.iter().map(|t| (t, "cold"));
+    for ((a, _, _), phase) in phases.chain(warm.iter().map(|t| (t, "warm"))) {
+        if let Some(cat) = io.iter().find(|c| !a.by_cat.contains_key(**c)) {
+            return Err(format!("a traced {phase} campaign recorded no {cat} spans"));
+        }
+    }
+    Ok(())
+}
+
 /// Per-layer metrics from the traced rounds' spans.
-fn traced_metrics(trace_out: &Path, s: &Samples, m: &mut Metrics) -> Result<usize, String> {
+fn traced_metrics(
+    trace_out: &Path,
+    s: &Samples,
+    persistent: bool,
+    m: &mut Metrics,
+) -> Result<usize, String> {
     let spans = trace::take_spans();
-    let cold: Vec<(Accounting, f64, gnnunlock_engine::RunStats)> = s
+    let cold: Vec<Traced> = s
         .traced_cold
         .iter()
         .map(|(id, exec_ms, stats)| (account(*id, &spans), *exec_ms, *stats))
         .collect();
-    let warm: Vec<(Accounting, f64, gnnunlock_engine::RunStats)> = s
+    let warm: Vec<Traced> = s
         .traced_warm
         .iter()
         .map(|(id, exec_ms, stats)| (account(*id, &spans), *exec_ms, *stats))
         .collect();
-    let per = |set: &[(Accounting, f64, gnnunlock_engine::RunStats)], cat: &str| -> Vec<f64> {
+    let per = |set: &[Traced], cat: &str| -> Vec<f64> {
         set.iter()
             .map(|(a, _, _)| a.by_cat.get(cat).copied().unwrap_or(0.0))
             .collect()
@@ -558,16 +591,16 @@ fn traced_metrics(trace_out: &Path, s: &Samples, m: &mut Metrics) -> Result<usiz
     for (metric, kind) in crate::CORE_STAGES {
         m.put_median(metric, &per(&cold, kind.tag()), "ms");
     }
-    let self_ms = |set: &[(Accounting, f64, gnnunlock_engine::RunStats)]| -> Vec<f64> {
+    let self_ms = |set: &[Traced]| -> Vec<f64> {
         set.iter()
             .map(|(a, exec_ms, _)| (exec_ms - a.covered_ms).max(0.0))
             .collect()
     };
     m.put_median("engine.self_ms", &self_ms(&cold), "ms");
     m.put_median("engine.warm_self_ms", &self_ms(&warm), "ms");
-    let stat = |set: &[(Accounting, f64, gnnunlock_engine::RunStats)],
-                f: fn(&gnnunlock_engine::RunStats) -> usize|
-     -> Vec<f64> { set.iter().map(|(_, _, st)| f(st) as f64).collect() };
+    let stat = |set: &[Traced], f: fn(&RunStats) -> usize| -> Vec<f64> {
+        set.iter().map(|(_, _, st)| f(st) as f64).collect()
+    };
     m.put_median("engine.jobs", &stat(&cold, |st| st.total), "count");
     m.put_median("engine.executed", &stat(&cold, |st| st.executed), "count");
     m.put_median("engine.disk_hits", &stat(&warm, |st| st.disk_hits), "count");
@@ -582,9 +615,8 @@ fn traced_metrics(trace_out: &Path, s: &Samples, m: &mut Metrics) -> Result<usiz
     m.put_median("codec.encoded_bytes", &s.encoded_bytes, "bytes");
     m.put_median("codec.decoded_bytes", &s.decoded_bytes, "bytes");
 
-    let ids = |set: &[(u64, f64, gnnunlock_engine::RunStats)]| -> Vec<u64> {
-        set.iter().map(|(id, _, _)| *id).collect()
-    };
+    let ids =
+        |set: &[(u64, f64, RunStats)]| -> Vec<u64> { set.iter().map(|(id, _, _)| *id).collect() };
     trace::store_metrics(&spans, &ids(&s.traced_cold), &ids(&s.traced_warm), m);
 
     let overhead = |traced: &[f64], plain: &[f64]| median(traced) / median(plain).max(1e-9) - 1.0;
@@ -609,5 +641,6 @@ fn traced_metrics(trace_out: &Path, s: &Samples, m: &mut Metrics) -> Result<usiz
         .collect();
     m.put_median("trace.unattributed_share", &unattributed, "share");
     m.put("trace.spans", spans.len() as f64, "count", spans.len());
-    trace::write_trace(trace_out, &spans)
+    let written = trace::write_trace(trace_out, &spans)?;
+    check_decorated(&cold, &warm, persistent).map(|()| written)
 }

@@ -411,12 +411,17 @@ pub fn run(args: &Args) -> Result<(Metrics, Ledger), String> {
     )?;
     ledger.reference = format!(
         "report={} cells={} removal_success={} post_accuracy={}",
-        crate::report::digest(reference_report.as_bytes()),
+        crate::report::digest(&reference_report),
         reference_quality.0,
         reference_quality.1,
         reference_quality.2
     );
     println!("reference {}", ledger.reference);
+    // The peak of a fresh daemon that has served one campaign. Its peak
+    // under load is not steady: glibc gives a thread started while every
+    // heap arena is in use an arena of its own, and the daemon's resident
+    // set then grows by 2.6 MB at a random campaign of the run and stays.
+    let peak_rss = probe::peak_rss_mb(targets[0].pid);
     let setup_s = args.elapsed_since_t0();
     println!("setup_s {setup_s}");
     let mut m = Metrics::default();
@@ -458,7 +463,7 @@ pub fn run(args: &Args) -> Result<(Metrics, Ledger), String> {
     let mut round = 0usize;
     while !round.is_multiple_of(subs)
         || round < subs * targets.len()
-        || keep_going(args, start, &[(&warm_all_of(&warm_ms), 0.9)])
+        || keep_going(args, start, &[])
     {
         let (j, k) = (round % subs, (round / subs) % targets.len());
         let t = &mut targets[k];
@@ -543,10 +548,6 @@ pub fn run(args: &Args) -> Result<(Metrics, Ledger), String> {
     let all_rtt: Vec<f64> = requests.rtt_ms.values().flatten().copied().collect();
     let fresh_ms: Vec<f64> = fresh.iter().map(|f| f.stream.total_ms).collect();
     let warm_all = warm_all_of(&warm_ms);
-    // The daemon's peak over its life, read before it shuts down: its
-    // campaigns are small and alike, and a per-campaign peak flips with
-    // the allocator's state.
-    let peak_rss = probe::peak_rss_mb(targets[0].pid);
     for t in &mut targets {
         ledger.op(t.conn.request(r#"{"op":"shutdown"}"#).map(|_| ()));
     }
@@ -567,6 +568,11 @@ pub fn run(args: &Args) -> Result<(Metrics, Ledger), String> {
             Some(path) => trace::read_span_lines(&wait_for_file(path)?)?,
             None => Vec::new(),
         };
+        ledger.op(if daemon_spans.is_empty() {
+            Err("the traced daemon recorded no store spans".into())
+        } else {
+            Ok(())
+        });
         daemon_layer_metrics(&fresh, &requests, &daemon_spans, &mut m);
         m.put(
             "trace.overhead_share",
@@ -627,7 +633,6 @@ pub fn run(args: &Args) -> Result<(Metrics, Ledger), String> {
         m.put_median("cells_per_s", &rates, "cells/s");
         m.put_median("submit_done_ms_p50", &fresh_ms, "ms");
         m.put_median("warm_ms_p50", &warm_all, "ms");
-        m.put_tail("warm_ms_p90", &warm_all, 0.9, "ms");
         m.put_median("rtt_ms_p50", &all_rtt, "ms");
         m.put_tail("rtt_ms_p90", &all_rtt, 0.9, "ms");
         m.put("removal_success", mean(|q| q.1), "share", quality_cells);

@@ -92,6 +92,24 @@ pub fn reset_peak_rss(pid: u32) {
     let _ = std::fs::write(format!("/proc/{pid}/clear_refs"), "5");
 }
 
+/// Return the free memory of every glibc heap arena to the system, so a
+/// peak measured next starts from what this process still uses. Without
+/// it, the allocator keeps freed campaigns resident, in amounts that vary
+/// with the arena each campaign's thread lands on.
+pub fn release_free_heap() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> std::ffi::c_int;
+        }
+        // SAFETY: `malloc_trim` takes no pointer and only hands free pages
+        // of glibc's own heaps back to the system; glibc marks it MT-Safe.
+        unsafe {
+            malloc_trim(0);
+        }
+    }
+}
+
 /// The leave-one-out split the campaign trains for its first target.
 fn first_split(dataset: &Dataset) -> (gnnunlock_gnn::CircuitGraph, gnnunlock_gnn::CircuitGraph) {
     let target = dataset.benchmarks()[0].clone();

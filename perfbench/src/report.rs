@@ -50,19 +50,26 @@ impl Metrics {
         self.put(name, median(samples), unit, samples.len());
     }
 
-    /// Add the tail quantile `q` of `samples` as `name`, saying whether the
-    /// sample supports it (at least ten samples beyond it).
+    /// Add the tail quantile `q` of `samples` as `name` when at least ten
+    /// samples lie beyond it. An unsupported tail is withheld, so a run
+    /// that must report it ends without a result; a layer the workload
+    /// bypasses (no samples) reports 0 over 0 samples.
     pub fn put_tail(&mut self, name: &str, samples: &[f64], q: f64, unit: &str) {
-        let value = quantile(samples, q).unwrap_or(0.0);
         let past = beyond(samples, q);
-        if past < 10 {
+        if samples.is_empty() || past >= 10 {
+            self.put(
+                name,
+                quantile(samples, q).unwrap_or(0.0),
+                unit,
+                samples.len(),
+            );
+        } else {
             println!(
-                "warning: {name} has only {past} samples beyond it (n={}); it needs {}",
+                "withheld: {name} has only {past} samples beyond it (n={}, needs n >= {})",
                 samples.len(),
                 needed_for(q)
             );
         }
-        self.put(name, value, unit, samples.len());
     }
 
     /// The metrics as `{name: {"value", "unit", "n"}}`.
@@ -114,13 +121,7 @@ impl Ledger {
     }
 }
 
-/// FNV-1a of `bytes`, as 16 hex digits: a short digest for comparing
-/// report bytes across processes.
-pub fn digest(bytes: &[u8]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    format!("{h:016x}")
+/// A short digest of `text`, for comparing report bytes across processes.
+pub fn digest(text: &str) -> String {
+    format!("{:016x}", gnnunlock_telemetry::derived_id(0, text))
 }

@@ -351,8 +351,12 @@ fn check_span_line(line: &str) -> Result<SpanRecord, String> {
 }
 
 /// Write `spans` as one Chrome trace to `path` and validate every span
-/// with the repository's trace checker; returns the span count.
+/// with the repository's trace checker; returns the span count. A traced
+/// run that recorded no span fails.
 pub fn write_trace(path: &Path, spans: &[SpanRecord]) -> Result<usize, String> {
+    if spans.is_empty() {
+        return Err("the traced run recorded no spans".into());
+    }
     std::fs::write(path, gnnunlock_telemetry::chrome_trace_json(spans))
         .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     for span in spans {

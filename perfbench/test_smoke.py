@@ -6,7 +6,8 @@
 For every workload in BENCHMARK.json it runs `perfbench/run.py --tiny`
 once untraced and once traced, and checks that the run is correct and
 prints every end-to-end (resp. per-layer) metric named in BENCHMARK.json,
-with its unit.
+with its unit, and that the traced run measured the layers the workload
+stresses.
 """
 
 import json
@@ -16,6 +17,17 @@ import sys
 import unittest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Per-layer metrics that must be nonzero in a traced run of each workload:
+# one for each layer it stresses (counts, where a tiny run's times could
+# round to zero).
+STRESSED = {
+    "antisat-1cpu": ["core.train_epoch_ms", "gnn.epoch_ms"],
+    "sfll-store": ["core.train_epoch_ms", "gnn.epoch_ms", "codec.encoded_bytes",
+                   "codec.decoded_bytes", "store.publishes", "store.loads"],
+    "daemon-service": ["core.train_epoch_ms", "gnn.epoch_ms", "store.publishes",
+                       "daemon.exec_ms", "daemon.status_rtt_ms"],
+}
 
 
 def run(workload, trace):
@@ -47,6 +59,9 @@ class Smoke(unittest.TestCase):
                     if trace == 0:
                         for name, got in doc["metrics"].items():
                             self.assertNotEqual(got["value"], 0, name)
+                    else:
+                        for name in ["trace.spans"] + STRESSED[workload]:
+                            self.assertGreater(doc["metrics"][name]["value"], 0, name)
 
 
 if __name__ == "__main__":
