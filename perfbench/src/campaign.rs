@@ -8,7 +8,7 @@
 //! overhead.
 
 use crate::probe::{self, ms_since};
-use crate::report::{digest, median, Ledger, Metrics};
+use crate::report::{digest, median, per_second, Ledger, Metrics};
 use crate::trace::{self, TracedBackend, TracedRunner};
 use crate::{keep_going, Args, Shape};
 use gnnunlock_core::{
@@ -292,8 +292,8 @@ fn account(campaign: u64, spans: &[SpanRecord]) -> Accounting {
 #[derive(Default)]
 struct Samples {
     cold_ms: Vec<f64>,
-    /// Throughput of each plain cold run, cells per second.
-    cells_per_s: Vec<f64>,
+    /// Cells of the plain cold runs.
+    plain_cells: usize,
     /// Peak resident set of the process during each plain cold run.
     peak_rss_mb: Vec<f64>,
     /// Cells of every cold run, plain and traced.
@@ -419,8 +419,7 @@ pub fn run(args: &Args, shape: &Shape) -> Result<(Metrics, Ledger), String> {
         } else {
             s.cold_ms.push(cold.wall_ms);
             s.peak_rss_mb.push(peak_rss_mb);
-            let cells = quality(&cold.outcomes).0 as f64;
-            s.cells_per_s.push(cells / (cold.wall_ms / 1e3));
+            s.plain_cells += quality(&cold.outcomes).0;
         }
         s.cells += quality(&cold.outcomes).0;
         for i in 0..w.warm_per_round {
@@ -504,10 +503,15 @@ pub fn run(args: &Args, shape: &Shape) -> Result<(Metrics, Ledger), String> {
         }
     } else {
         m.put("setup_s", setup_s, "s", 1);
-        m.put_median("cells_per_s", &s.cells_per_s, "cells/s");
+        m.put(
+            "cells_per_s",
+            per_second(s.plain_cells, &s.cold_ms),
+            "cells/s",
+            s.cold_ms.len(),
+        );
         m.put_median("submit_done_ms_p50", &s.cold_ms, "ms");
-        m.put_median("warm_ms_p50", &s.warm_ms, "ms");
-        m.put_median("rtt_ms_p50", &s.render_ms, "ms");
+        m.put_mean("warm_ms_mean", &s.warm_ms, "ms");
+        m.put_mean("rtt_ms_mean", &s.render_ms, "ms");
         m.put_tail("rtt_ms_p90", &s.render_ms, 0.9, "ms");
         // Means over the sub-seeds' datasets, each deterministic.
         let qs: Vec<(usize, f64, f64)> = refs.iter().flatten().map(|r| r.quality).collect();

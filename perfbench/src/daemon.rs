@@ -7,7 +7,7 @@
 //! report request in flight on its own connection.
 
 use crate::probe::{self, ms_since};
-use crate::report::{median, Ledger, Metrics};
+use crate::report::{median, per_second, Ledger, Metrics};
 use crate::trace::{self, TracedBackend};
 use crate::{keep_going, Args, DaemonRef};
 use gnnunlock_core::{AttackOutcome, Submission};
@@ -625,15 +625,17 @@ pub fn run(args: &Args) -> Result<(Metrics, Ledger), String> {
         }
         probe::sat_probe(&pairs, &mut m);
     } else {
-        let rates: Vec<f64> = fresh
-            .iter()
-            .map(|f| f.stream.cells as f64 / (f.stream.total_ms / 1e3))
-            .collect();
+        let cells: usize = fresh.iter().map(|f| f.stream.cells).sum();
         m.put("setup_s", setup_s, "s", 1);
-        m.put_median("cells_per_s", &rates, "cells/s");
+        m.put(
+            "cells_per_s",
+            per_second(cells, &fresh_ms),
+            "cells/s",
+            fresh_ms.len(),
+        );
         m.put_median("submit_done_ms_p50", &fresh_ms, "ms");
-        m.put_median("warm_ms_p50", &warm_all, "ms");
-        m.put_median("rtt_ms_p50", &all_rtt, "ms");
+        m.put_mean("warm_ms_mean", &warm_all, "ms");
+        m.put_mean("rtt_ms_mean", &all_rtt, "ms");
         m.put_tail("rtt_ms_p90", &all_rtt, 0.9, "ms");
         m.put("removal_success", mean(|q| q.1), "share", quality_cells);
         m.put("post_accuracy", mean(|q| q.2), "share", quality_cells);

@@ -21,6 +21,24 @@ pub fn median(samples: &[f64]) -> f64 {
     quantile(samples, 0.5).unwrap_or(0.0)
 }
 
+/// The mean of `samples`, 0 when there are none.
+pub fn mean(samples: &[f64]) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
+    }
+    samples.iter().sum::<f64>() / samples.len() as f64
+}
+
+/// `count` per second of the summed durations `ms`, 0 when there are none.
+pub fn per_second(count: usize, ms: &[f64]) -> f64 {
+    let seconds = ms.iter().sum::<f64>() / 1e3;
+    if seconds > 0.0 {
+        count as f64 / seconds
+    } else {
+        0.0
+    }
+}
+
 /// Samples lying strictly beyond the `q`-quantile.
 pub fn beyond(samples: &[f64], q: f64) -> usize {
     quantile(samples, q).map_or(0, |t| samples.iter().filter(|&&x| x > t).count())
@@ -48,6 +66,11 @@ impl Metrics {
     /// Add the median of `samples` as `name`.
     pub fn put_median(&mut self, name: &str, samples: &[f64], unit: &str) {
         self.put(name, median(samples), unit, samples.len());
+    }
+
+    /// Add the mean of `samples` as `name`.
+    pub fn put_mean(&mut self, name: &str, samples: &[f64], unit: &str) {
+        self.put(name, mean(samples), unit, samples.len());
     }
 
     /// Add the tail quantile `q` of `samples` as `name` when at least ten
