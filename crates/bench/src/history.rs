@@ -232,6 +232,7 @@ pub fn check(dir: &Path, history_path: &Path, tolerance: f64) -> Result<String, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gnnunlock_engine::testing::TempDir;
 
     fn kernels_doc(mode: &str, family: f64, epoch: f64) -> Json {
         let entry = |kernel: &str, shape: &str, speedup: f64| {
@@ -256,14 +257,6 @@ mod tests {
         ])
     }
 
-    fn tmp(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("gnnunlock-history-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
     #[test]
     fn summarize_prefers_the_medium_shape() {
         let doc = kernels_doc("smoke", 3.5, 2.0);
@@ -278,7 +271,7 @@ mod tests {
 
     #[test]
     fn append_then_check_gates_on_matching_mode() {
-        let dir = tmp("gate");
+        let dir = TempDir::new("history-gate");
         std::fs::write(
             dir.join(KERNELS_FILE),
             kernels_doc("smoke", 3.0, 2.0).render(),
@@ -326,7 +319,6 @@ mod tests {
         .unwrap();
         let err = check(&dir, &history, REGRESSION_TOLERANCE).unwrap_err();
         assert!(err.contains("kernel_family"), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn verify_doc(speedup: f64) -> Json {
@@ -339,7 +331,7 @@ mod tests {
 
     #[test]
     fn verify_family_is_gated_like_kernel_family() {
-        let dir = tmp("verify-gate");
+        let dir = TempDir::new("history-verify-gate");
         std::fs::write(
             dir.join(KERNELS_FILE),
             kernels_doc("smoke", 3.0, 2.0).render(),
@@ -363,6 +355,5 @@ mod tests {
         // ... and deleting the snapshot does not dodge the gate.
         std::fs::remove_file(dir.join(VERIFY_FILE)).unwrap();
         assert!(check(&dir, &history, REGRESSION_TOLERANCE).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

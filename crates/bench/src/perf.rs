@@ -879,15 +879,15 @@ pub fn verify_kernels_doc(doc: &Json) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gnnunlock_engine::testing::TempDir;
 
     #[test]
     fn smoke_kernel_report_is_complete_and_verifies() {
         let doc = kernel_report(true);
         verify_kernels_doc(&doc).unwrap();
-        let dir = std::env::temp_dir().join(format!("gnnunlock-perf-test-{}", std::process::id()));
+        let dir = TempDir::new("perf-kernels");
         let path = write_and_verify(&dir, KERNELS_FILE, &doc).unwrap();
         assert!(path.exists());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -937,10 +937,8 @@ mod tests {
     fn smoke_verify_report_is_complete_and_verifies() {
         let doc = verify_report(true);
         verify_verify_doc(&doc).unwrap();
-        let dir =
-            std::env::temp_dir().join(format!("gnnunlock-verify-test-{}", std::process::id()));
+        let dir = TempDir::new("perf-verify");
         let path = write_and_verify(&dir, VERIFY_FILE, &doc).unwrap();
         assert!(path.exists());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -60,8 +60,8 @@ pub struct DaemonConfig {
     /// Store backend campaign executions and tenant budget sweeps run
     /// against. `None` (the default) resolves per campaign directory via
     /// [`gnnunlock_engine::STORE_BACKEND_ENV`] — the local filesystem
-    /// unless overridden. Tests pass a [`gnnunlock_engine::FaultBackend`]
-    /// here to run the daemon's store traffic in memory.
+    /// unless overridden. Tests pass a fault-injecting
+    /// [`gnnunlock_engine::testing::Faulty`] backend here.
     pub store_backend: Option<Arc<dyn StoreBackend>>,
 }
 

@@ -621,14 +621,9 @@ impl DaemonCore {
 mod tests {
     use super::*;
     use gnnunlock_core::Submission;
+    use gnnunlock_engine::testing::{Fault, FaultOp, FaultRule, Faulty, TempDir};
+    use gnnunlock_engine::ObjectStoreBackend;
     use std::str::FromStr as _;
-
-    fn tmp_root(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("gnnunlockd-state-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     fn sub(tenant: &str, name: &str) -> Submission {
         Submission::from_str(&format!(
@@ -641,8 +636,8 @@ mod tests {
     /// honor quotas and cancel — no campaign ever executes.
     #[test]
     fn submit_dedups_quotas_and_cancels() {
-        let root = tmp_root("submit");
-        let core = DaemonCore::new(DaemonConfig::new(&root).with_tenant_max_active(2));
+        let root = TempDir::new("daemon-state-submit");
+        let core = DaemonCore::new(DaemonConfig::new(root.to_path_buf()).with_tenant_max_active(2));
 
         let first = core.submit(sub("acme", "a")).unwrap();
         assert_eq!(first.status, CampaignStatus::Queued);
@@ -679,7 +674,6 @@ mod tests {
         core.shutdown();
         assert!(core.submit(sub("acme", "d")).is_err());
         assert!(!core.is_drained(), "queue still holds entries");
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// A canonical report from a "previous daemon life" answers a fresh
@@ -688,8 +682,8 @@ mod tests {
     /// done.
     #[test]
     fn on_disk_reports_answer_resubmissions() {
-        let root = tmp_root("prior-life");
-        let core = DaemonCore::new(DaemonConfig::new(&root));
+        let root = TempDir::new("daemon-state-prior-life");
+        let core = DaemonCore::new(DaemonConfig::new(root.to_path_buf()));
         let id = sub("acme", "a").campaign_id();
         let dir = core.campaign_dir(&id);
         std::fs::create_dir_all(&dir).unwrap();
@@ -712,23 +706,20 @@ mod tests {
         let receipt = core.submit(sub("acme", "b")).unwrap();
         assert_eq!(receipt.status, CampaignStatus::Queued);
         assert!(!receipt.deduped);
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// Ids are validated below the protocol layer too: a traversal
     /// probe never reaches a filesystem read.
     #[test]
     fn report_text_rejects_non_content_address_ids() {
-        let root = tmp_root("traversal");
-        std::fs::create_dir_all(&root).unwrap();
+        let root = TempDir::new("daemon-state-traversal");
         // A juicy target one level above the campaigns dir.
         std::fs::write(root.join("report.json"), "secret\n").unwrap();
-        let core = DaemonCore::new(DaemonConfig::new(&root));
+        let core = DaemonCore::new(DaemonConfig::new(root.to_path_buf()));
         for id in ["..", "../..", "x", "0000000deadbeefX", ""] {
             let err = core.report_text(id).unwrap_err();
             assert!(err.contains("invalid campaign id"), "{id:?} -> {err}");
         }
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// The registry stays bounded: terminal entries beyond the
@@ -736,9 +727,9 @@ mod tests {
     /// evicted campaign start afresh (no on-disk report here).
     #[test]
     fn terminal_entries_evict_beyond_retention() {
-        let root = tmp_root("retention");
+        let root = TempDir::new("daemon-state-retention");
         let core = DaemonCore::new(
-            DaemonConfig::new(&root)
+            DaemonConfig::new(root.to_path_buf())
                 .with_terminal_retained(1)
                 .with_tenant_max_active(8),
         );
@@ -753,7 +744,6 @@ mod tests {
         let again = core.submit(sub("acme", "a")).unwrap();
         assert_eq!(again.id, a);
         assert!(!again.deduped, "evicted+reportless campaigns re-queue");
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// Tenant budget accounting covers active campaigns' bytes: they
@@ -761,9 +751,9 @@ mod tests {
     /// are swept to make room.
     #[test]
     fn tenant_budget_counts_active_campaign_bytes() {
-        let root = tmp_root("budget");
+        let root = TempDir::new("daemon-state-budget");
         let core = DaemonCore::new(
-            DaemonConfig::new(&root)
+            DaemonConfig::new(root.to_path_buf())
                 .with_tenant_budget(1024)
                 .with_tenant_max_active(8),
         );
@@ -794,24 +784,24 @@ mod tests {
             .campaign_dir(&done)
             .join("tenants/acme/objects/old.bin")
             .is_file());
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// The budget sweep runs against the *configured* store backend:
-    /// with an in-memory `FaultBackend` installed, eviction happens in
-    /// memory and nothing touches the real filesystem. In-flight
+    /// with the in-memory object map installed (behind the fault
+    /// decorator, for `age`), eviction happens in memory and nothing
+    /// touches the real filesystem. In-flight
     /// protocol files (`.tmp-*`, `.lease`) are never billed to the
     /// tenant's budget, and stale orphaned ones are collected by the
     /// same sweep.
     #[test]
     fn tenant_budget_sweep_runs_on_the_configured_backend() {
-        use gnnunlock_engine::{FaultBackend, StoreBackend};
+        use gnnunlock_engine::StoreBackend;
         use std::time::Duration;
 
-        let root = tmp_root("budget-backend");
-        let backend = Arc::new(FaultBackend::new());
+        let root = TempDir::new("daemon-state-budget-backend");
+        let backend = Arc::new(Faulty::new(ObjectStoreBackend::new()));
         let core = DaemonCore::new(
-            DaemonConfig::new(&root)
+            DaemonConfig::new(root.to_path_buf())
                 .with_tenant_budget(1024)
                 .with_tenant_max_active(8)
                 .with_store_backend(backend.clone()),
@@ -824,19 +814,27 @@ mod tests {
                 .join("tenants/acme/objects")
                 .join(name)
         };
-        backend.insert_raw(&obj(&active, "live.bin"), &[0u8; 900]);
-        backend.insert_raw(&obj(&done, "old.bin"), &[0u8; 900]);
+        backend
+            .publish(&obj(&active, "live.bin"), &[0u8; 900])
+            .unwrap();
+        backend
+            .publish(&obj(&done, "old.bin"), &[0u8; 900])
+            .unwrap();
         // A huge in-flight temp and a held lease: invisible to the
         // 1024-byte budget (billing them would evict every entry) and
         // untouched while fresh.
-        backend.insert_raw(&obj(&done, ".tmp-42-0"), &[0u8; 64 * 1024]);
-        backend.insert_raw(
-            &obj(&done, "x.lease"),
-            b"gnnunlock-lease owner=w pid=1 gen=0\n",
-        );
+        backend
+            .publish(&obj(&done, ".tmp-42-0"), &[0u8; 64 * 1024])
+            .unwrap();
+        backend
+            .publish(
+                &obj(&done, "x.lease"),
+                b"gnnunlock-lease owner=w pid=1 gen=0\n",
+            )
+            .unwrap();
         // A *stale* orphaned temp is collected by the sweep itself.
         let stale = obj(&done, ".tmp-7-7");
-        backend.insert_raw(&stale, b"orphan");
+        backend.publish(&stale, b"orphan").unwrap();
         backend.age(&stale, Duration::from_secs(2 * 3600));
 
         core.enforce_tenant_budget("acme");
@@ -853,7 +851,6 @@ mod tests {
         assert!(!backend.contains(&stale), "stale orphan swept");
         // Nothing leaked onto the real filesystem.
         assert!(!core.campaign_dir(&done).join("tenants").exists());
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// A store outage mid-campaign fails the campaign *cleanly*: the
@@ -863,18 +860,19 @@ mod tests {
     /// global metrics registry (the daemon's `/metrics` surface).
     /// Deterministic: the campaign is executed synchronously through
     /// the worker path, and every retry pause lands on the fault
-    /// backend's virtual clock.
+    /// decorator's virtual clock.
     #[test]
     fn store_outage_fails_campaign_with_persisted_error_and_metrics() {
-        use gnnunlock_engine::{Fault, FaultBackend, FaultOp, FaultRule, StoreBackend};
+        use gnnunlock_engine::StoreBackend;
 
-        let root = tmp_root("store-outage");
-        let backend = Arc::new(FaultBackend::new());
+        let root = TempDir::new("daemon-state-store-outage");
+        let backend = Arc::new(Faulty::new(ObjectStoreBackend::new()));
         // The store answers briefly, then disappears for good: every
         // gated operation after the first few times out, forever.
         backend.inject(FaultRule::on(FaultOp::Load, "", Fault::Unavailable(usize::MAX)).after(8));
         let core = DaemonCore::new(
-            DaemonConfig::new(&root).with_store_backend(backend.clone() as Arc<dyn StoreBackend>),
+            DaemonConfig::new(root.to_path_buf())
+                .with_store_backend(backend.clone() as Arc<dyn StoreBackend>),
         );
         let tiny = Submission::from_str(concat!(
             r#"{"tenant":"acme","name":"outage","scheme":"antisat","scale":0.02,"#,
@@ -902,6 +900,5 @@ mod tests {
             retried > 0.0,
             "store_retries_total must be scrape-able and nonzero:\n{rendered}"
         );
-        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -299,19 +299,12 @@ pub fn run_watch(dir: &Path, id: &str, once: bool) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gnnunlock_engine::testing::TempDir;
     use gnnunlock_engine::EventLog;
-
-    fn tmp(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("gnnunlockd-watch-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
 
     #[test]
     fn polling_walks_all_logs_but_never_the_merged_stream() {
-        let dir = tmp("walk");
+        let dir = TempDir::new("watch-walk");
         let a = EventLog::open_append(&dir.join("events-a.jsonl")).unwrap();
         let b = EventLog::open_append(&dir.join("events-b.jsonl")).unwrap();
         std::fs::write(dir.join("merged-events.jsonl"), "{\"ev\":\"bogus\"}\n").unwrap();
@@ -342,7 +335,6 @@ mod tests {
         let n = poll_event_logs(&dir, &mut cursors, |l| lines.push(l.to_string())).unwrap();
         assert_eq!(n, 1);
         assert_eq!(lines.len(), 3);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

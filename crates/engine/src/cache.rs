@@ -12,11 +12,11 @@
 //! The disk tier inherits its [`crate::StoreBackend`] from the attached
 //! [`DiskStore`]: every persist and disk probe goes through the store's
 //! backend, so a cache built on a [`DiskStore::open_with_backend`]
-//! handle (or under `GNNUNLOCK_STORE_BACKEND=memory`) runs entirely
+//! handle (or under `GNNUNLOCK_STORE_BACKEND=object`) runs entirely
 //! against that backend with no cache-side plumbing — including fault
-//! injection via [`crate::FaultBackend`], which the cache tolerates the
-//! same way it tolerates real I/O errors: persistence is best-effort,
-//! the memory tier stays authoritative.
+//! injection via [`crate::testing::Faulty`], which the cache tolerates
+//! the same way it tolerates real I/O errors: persistence is
+//! best-effort, the memory tier stays authoritative.
 
 use crate::codec::ValueCodec;
 use crate::graph::{JobKind, JobValue};
@@ -234,8 +234,7 @@ mod tests {
 
     #[test]
     fn disk_tier_survives_memory_clear() {
-        let dir = std::env::temp_dir().join(format!("gnnunlock-cache-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = crate::testing::TempDir::new("cache-disk-tier");
         let store = Arc::new(DiskStore::open(&dir).unwrap());
         let cache = ResultCache::with_disk(store.clone(), Arc::new(StringCodec));
 
@@ -260,6 +259,5 @@ mod tests {
         // Unencodable values (not Strings) stay memory-only.
         cache.put(JobKind::Lock, 6, Arc::new(42u64));
         assert_eq!(store.stats().saves, 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

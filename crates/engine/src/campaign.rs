@@ -857,9 +857,7 @@ mod tests {
 
     #[test]
     fn persistent_execution_reuses_the_store_across_executors() {
-        let dir =
-            std::env::temp_dir().join(format!("gnnunlock-campaign-persist-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = crate::testing::TempDir::new("campaign-persist");
         let c = tiny();
 
         let cold = c
@@ -901,7 +899,6 @@ mod tests {
             Ok(_) => panic!("resuming a foreign log must fail"),
         };
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -592,7 +592,7 @@ impl std::fmt::Debug for EventLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
+    use crate::testing::TempDir;
 
     fn sample_events() -> Vec<Event> {
         vec![
@@ -660,13 +660,6 @@ mod tests {
         ]
     }
 
-    fn tmp_path(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!(
-            "gnnunlock-events-test-{tag}-{}.jsonl",
-            std::process::id()
-        ))
-    }
-
     #[test]
     fn serialize_parse_round_trip() {
         for ev in sample_events() {
@@ -688,7 +681,8 @@ mod tests {
 
     #[test]
     fn log_write_and_replay() {
-        let path = tmp_path("replay");
+        let dir = TempDir::new("events-replay");
+        let path = dir.join("events.jsonl");
         let log = EventLog::create(&path).unwrap();
         for ev in sample_events() {
             log.append(&ev);
@@ -710,7 +704,6 @@ mod tests {
             EventLog::replay(&path).unwrap().events.len(),
             sample_events().len() + 1
         );
-        let _ = fs::remove_file(&path);
     }
 
     /// The tailing contract under an interleaved writer: every poll
@@ -720,8 +713,8 @@ mod tests {
     #[test]
     fn tail_from_interleaved_writer_flushes_and_reader_polls() {
         use std::io::Write as _;
-        let path = tmp_path("tail");
-        let _ = fs::remove_file(&path);
+        let dir = TempDir::new("events-tail");
+        let path = dir.join("events.jsonl");
 
         // Poll 0: no file yet — empty tail, offset unmoved.
         let t = EventLog::tail_from(&path, 0).unwrap();
@@ -800,13 +793,12 @@ mod tests {
         let t = EventLog::tail_from(&path, offset).unwrap();
         assert!(t.reset, "a shrunk file must be reported as a reset");
         assert_eq!(t.lines, vec![events[0].to_jsonl()]);
-
-        let _ = fs::remove_file(&path);
     }
 
     #[test]
     fn replay_tolerates_a_torn_tail() {
-        let path = tmp_path("torn");
+        let dir = TempDir::new("events-torn");
+        let path = dir.join("events.jsonl");
         let log = EventLog::create(&path).unwrap();
         log.append(&sample_events()[0]);
         drop(log);
@@ -818,8 +810,7 @@ mod tests {
         assert!(replay.truncated);
         assert_eq!(replay.events.len(), 1);
         // A missing file is just an empty replay.
-        let replay = EventLog::replay(&tmp_path("nonexistent")).unwrap();
+        let replay = EventLog::replay(&dir.join("nonexistent.jsonl")).unwrap();
         assert!(replay.events.is_empty() && !replay.truncated);
-        let _ = fs::remove_file(&path);
     }
 }

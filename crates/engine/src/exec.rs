@@ -888,10 +888,8 @@ mod tests {
 
     #[test]
     fn events_stream_job_lifecycle_and_panics() {
-        let path = std::env::temp_dir().join(format!(
-            "gnnunlock-exec-events-{}.jsonl",
-            std::process::id()
-        ));
+        let dir = crate::testing::TempDir::new("exec-events");
+        let path = dir.join("events.jsonl");
         let log = Arc::new(EventLog::create(&path).unwrap());
         let exec = Executor::new(ExecConfig::with_workers(1)).with_events(log);
         let mut g = JobGraph::new();
@@ -937,7 +935,6 @@ mod tests {
             e,
             Event::CacheHit { id: 0, source, .. } if source == "memory"
         )));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -148,7 +148,11 @@ impl Json {
     /// Returns a message with the byte offset of the first syntax error.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            text,
+            bytes,
+            pos: 0,
+        };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -185,6 +189,7 @@ fn write_escaped(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -294,10 +299,10 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (validity is guaranteed
-                    // by the &str input).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).unwrap();
-                    let c = rest.chars().next().unwrap();
+                    // Consume one UTF-8 character. `pos` only ever advances
+                    // over ASCII bytes or whole characters, so it sits on a
+                    // char boundary of the &str input.
+                    let c = self.text[self.pos..].chars().next().unwrap();
                     if (c as u32) < 0x20 {
                         return Err(self.err("unescaped control character"));
                     }
@@ -398,6 +403,7 @@ mod tests {
         let doc = Json::obj(vec![
             ("nested", Json::Arr(vec![Json::Num(-2.5), Json::Num(1e-3)])),
             ("text", Json::Str("tabs\tand \"quotes\" and π\u{2}".into())),
+            ("raw multi-byte", Json::Str("é, 日本 and 😀".into())),
             ("flag", Json::Bool(false)),
             ("nothing", Json::Null),
             ("obj", Json::obj(vec![("k", Json::Num(7.0))])),
@@ -416,6 +422,9 @@ mod tests {
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("{} trailing").is_err());
         assert!(Json::parse("nul").is_err());
+        // An unescaped control character stays an error after a
+        // multi-byte character too.
+        assert!(Json::parse("\"é\u{1}\"").is_err());
     }
 
     #[test]

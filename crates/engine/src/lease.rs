@@ -526,18 +526,18 @@ fn parse_generation(content: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::TempDir;
     use std::fs;
 
-    fn tmp_store(tag: &str) -> Arc<DiskStore> {
-        let dir =
-            std::env::temp_dir().join(format!("gnnunlock-lease-test-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        Arc::new(DiskStore::open(&dir).unwrap())
+    fn tmp_store(tag: &str) -> (TempDir, Arc<DiskStore>) {
+        let dir = TempDir::new(&format!("lease-{tag}"));
+        let store = Arc::new(DiskStore::open(&dir).unwrap());
+        (dir, store)
     }
 
     #[test]
     fn claim_is_exclusive_and_release_frees() {
-        let store = tmp_store("excl");
+        let (_dir, store) = tmp_store("excl");
         let a = LeaseManager::new(store.clone(), "a", Duration::from_secs(30));
         let b = LeaseManager::new(store.clone(), "b", Duration::from_secs(30));
 
@@ -566,12 +566,11 @@ mod tests {
         assert_eq!(a.stats().claimed, 1);
         assert_eq!(b.stats().busy, 1);
         assert_eq!(b.held(), 2);
-        let _ = fs::remove_dir_all(store.root());
     }
 
     #[test]
     fn stale_leases_are_taken_over_with_a_bumped_generation() {
-        let store = tmp_store("stale");
+        let (_dir, store) = tmp_store("stale");
         let ttl = Duration::from_millis(60);
         let survivor = LeaseManager::new(store.clone(), "survivor", ttl);
 
@@ -599,12 +598,11 @@ mod tests {
         // The takeover produced a normal held lease: release works.
         assert!(survivor.release(JobKind::Train, 9));
         assert!(!path.exists());
-        let _ = fs::remove_dir_all(store.root());
     }
 
     #[test]
     fn heartbeat_keeps_a_lease_fresh_across_the_ttl() {
-        let store = tmp_store("hb");
+        let (_dir, store) = tmp_store("hb");
         let ttl = Duration::from_millis(80);
         let owner = LeaseManager::new(store.clone(), "owner", ttl);
         let rival = LeaseManager::new(store.clone(), "rival", ttl);
@@ -620,12 +618,11 @@ mod tests {
             assert_eq!(rival.try_claim(JobKind::Lock, 3), Claim::Busy);
         }
         assert_eq!(rival.stats().takeovers, 0);
-        let _ = fs::remove_dir_all(store.root());
     }
 
     #[test]
     fn losing_a_takeover_is_detected_not_clobbered() {
-        let store = tmp_store("lost");
+        let (_dir, store) = tmp_store("lost");
         // Slow owner: 30 s heartbeat period (ttl/4) — it will not touch
         // the lease again during this test.
         let slow = LeaseManager::new(store.clone(), "slow", Duration::from_secs(120));
@@ -656,12 +653,11 @@ mod tests {
         assert_eq!(slow.stats().lost, 1);
         assert!(path.exists(), "usurper's lease must survive");
         assert!(fast.release(JobKind::Verify, 7));
-        let _ = fs::remove_dir_all(store.root());
     }
 
     #[test]
     fn drop_releases_held_leases() {
-        let store = tmp_store("drop");
+        let (_dir, store) = tmp_store("drop");
         let path;
         {
             let m = LeaseManager::new(store.clone(), "m", Duration::from_secs(30));
@@ -673,7 +669,6 @@ mod tests {
             assert!(path.exists());
         }
         assert!(!path.exists(), "drop must release held leases");
-        let _ = fs::remove_dir_all(store.root());
     }
 
     #[test]

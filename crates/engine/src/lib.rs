@@ -37,7 +37,9 @@
 //! - [`RunReport`]: a structured JSON run report, deterministic by
 //!   default (timings are opt-in via [`ReportOptions`]);
 //! - [`run_ordered`]: order-preserving batch fan-out used by dataset
-//!   generation.
+//!   generation;
+//! - [`testing`]: test support only — the [`testing::Faulty`] fault
+//!   injector that decorates any [`StoreBackend`], and unique temp dirs.
 //!
 //! # Examples
 //!
@@ -76,11 +78,9 @@ mod report;
 pub mod resilience;
 mod shard;
 mod store;
+pub mod testing;
 
-pub use backend::{
-    backend_from_env, memory_backend_for, recoverable_schedule, Fault, FaultBackend, FaultOp,
-    FaultRule, FileMeta, JournalEntry, LocalDirBackend, StoreBackend, STORE_BACKEND_ENV,
-};
+pub use backend::{backend_from_env, FileMeta, LocalDirBackend, StoreBackend, STORE_BACKEND_ENV};
 pub use cache::{CacheSource, CacheStats, ResultCache};
 pub use campaign::{Campaign, CampaignBuilder, CampaignRun, CampaignRunner, ResumeInfo, StageJob};
 pub use cancel::CancelToken;
@@ -99,7 +99,7 @@ pub use graph::{
 };
 pub use json::Json;
 pub use lease::{Claim, LeaseManager, LeaseStats};
-pub use object::{object_backend_for, BlobService, ObjectStoreBackend};
+pub use object::{object_backend_for, ObjectStoreBackend};
 pub use pool::{default_workers, run_ordered, WORKERS_ENV};
 pub use report::{ReportOptions, RunReport, REPORT_SCHEMA_VERSION};
 pub use resilience::{

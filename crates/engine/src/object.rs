@@ -2,17 +2,15 @@
 //! over a minimal blob API — no renames, no hard links, no real
 //! directories.
 //!
-//! The substrate is [`BlobService`], an in-process model of a
-//! conditional-put object store (S3-shaped): every key maps to bytes
-//! plus a monotonically increasing **ETag**, and the only primitives are
-//! `get` / `put` / `put_if_absent` / `put_if_match` / `delete_if_match`
-//! / `list`. [`ObjectStoreBackend`] maps the trait onto those
-//! primitives:
+//! [`ObjectStoreBackend`] is an in-process conditional-put object store
+//! (S3-shaped): every key maps to bytes plus a monotonically increasing
+//! **ETag**, and the only primitives are `get` / `put` /
+//! `put_if_absent` / `delete_if_match` / `delete` / prefix listing. The
+//! trait maps onto those primitives:
 //!
 //! - **publish** — an unconditional put: the blob PUT is atomic at the
-//!   service, so last-writer-wins atomicity is free (a crashed upload
-//!   leaves the key untouched — there is no staging namespace to
-//!   orphan);
+//!   service, so last-writer-wins atomicity is free (there is no torn
+//!   upload under the final key);
 //! - **claim** — `put_if_absent`: the service accepts exactly one
 //!   creator per key, which *is* the exactly-one-winner obligation;
 //! - **entomb** — an ETag-conditional swap instead of a rename: read
@@ -22,23 +20,18 @@
 //!   ETag and exactly one delete can match it; losers clean up their
 //!   tomb copy and fail as if the source were gone.
 //!
-//! The service injects the same [`Fault`] schedule vocabulary as
-//! [`crate::FaultBackend`] — plus the service-shaped kinds
-//! ([`Fault::Latency`], [`Fault::Unavailable`], [`Fault::SlowRead`]) —
-//! and parks retry backoff on a virtual clock, so the whole
-//! retry/timeout/degradation matrix of [`crate::resilience`] runs
-//! timing-free against it.
+//! The map injects no faults of its own: tests wrap it in
+//! [`crate::testing::Faulty`], the same decorator that injects faults
+//! into [`crate::LocalDirBackend`].
 
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, SystemTime};
+use std::time::SystemTime;
 
-use crate::backend::{
-    Fault, FaultOp, FaultRule, FaultSchedule, FileMeta, JournalEntry, StoreBackend,
-};
+use crate::backend::{FileMeta, StoreBackend};
 
 #[derive(Debug, Clone)]
 struct Blob {
@@ -47,135 +40,52 @@ struct Blob {
     mtime: SystemTime,
 }
 
-/// An in-process conditional-put blob service: keys are opaque paths,
-/// every write allocates a fresh process-unique ETag, and the
-/// conditional primitives (`put_if_absent`, `put_if_match`,
-/// `delete_if_match`) arbitrate concurrent writers the way a real
-/// object store's preconditions do. Deterministic [`FaultRule`]
-/// schedules inject the full recoverable-fault vocabulary at the
-/// service boundary, and every gated call is journaled.
+/// [`StoreBackend`] over an in-process conditional-put blob map: keys
+/// are opaque paths, every write allocates a fresh process-unique ETag,
+/// and the conditional primitives arbitrate concurrent writers the way
+/// a real object store's preconditions do. See the [module docs](self)
+/// for how each obligation maps onto the blob API.
 #[derive(Debug, Default)]
-pub struct BlobService {
+pub struct ObjectStoreBackend {
     blobs: Mutex<BTreeMap<PathBuf, Blob>>,
     etag_seq: AtomicU64,
-    rules: FaultSchedule,
-    journal: Mutex<Vec<JournalEntry>>,
-    seq: AtomicU64,
-    /// Remaining operations in an open [`Fault::Unavailable`] window.
-    unavailable: AtomicU64,
-    /// Virtual microseconds parked in backoff waits or charged by
-    /// latency faults.
-    waited: AtomicU64,
 }
 
-impl BlobService {
-    /// A fault-free blob service.
+impl ObjectStoreBackend {
+    /// An empty bucket.
     pub fn new() -> Self {
-        BlobService::default()
+        ObjectStoreBackend::default()
     }
 
-    /// Schedule one more fault rule.
-    pub fn inject(&self, rule: FaultRule) {
-        self.rules.inject(rule);
-    }
-
-    /// Drop all scheduled rules and close any open unavailability
-    /// window.
-    pub fn clear_rules(&self) {
-        self.rules.clear();
-        self.unavailable.store(0, Ordering::Relaxed);
-    }
-
-    /// How many scheduled rules have fired.
-    pub fn faults_fired(&self) -> usize {
-        self.rules.fired()
-    }
-
-    /// The gated-operation journal so far.
-    pub fn journal(&self) -> Vec<JournalEntry> {
-        self.journal.lock().unwrap().clone()
-    }
-
-    /// Every key currently stored, in sorted order.
-    pub fn keys(&self) -> Vec<PathBuf> {
-        self.blobs.lock().unwrap().keys().cloned().collect()
-    }
-
-    /// Raw bytes at `key`, bypassing faults and the journal.
-    pub fn read_raw(&self, key: &Path) -> Option<Vec<u8>> {
-        self.blobs.lock().unwrap().get(key).map(|b| b.bytes.clone())
-    }
-
-    /// Set `key`'s mtime exactly; `false` when absent.
-    pub fn set_mtime(&self, key: &Path, mtime: SystemTime) -> bool {
-        match self.blobs.lock().unwrap().get_mut(key) {
-            Some(b) => {
-                b.mtime = mtime;
-                true
-            }
-            None => false,
+    fn blob(&self, bytes: &[u8]) -> Blob {
+        Blob {
+            bytes: bytes.to_vec(),
+            etag: self.etag_seq.fetch_add(1, Ordering::Relaxed) + 1,
+            mtime: SystemTime::now(),
         }
     }
 
-    /// Back-date `key`'s mtime by `by` — the no-sleep way to make a
-    /// lease stale or an orphan old. `false` when absent.
-    pub fn age(&self, key: &Path, by: Duration) -> bool {
-        self.set_mtime(key, SystemTime::now() - by)
-    }
-
-    /// Total virtual time parked in backoff waits or charged by
-    /// latency/slow-read faults.
-    pub fn virtual_waited(&self) -> Duration {
-        Duration::from_micros(self.waited.load(Ordering::Relaxed))
-    }
-
-    fn next_etag(&self) -> u64 {
-        self.etag_seq.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    // --- blob API ---------------------------------------------------
-
     /// Bytes + ETag at `key`.
-    pub fn get(&self, key: &Path) -> io::Result<(Vec<u8>, u64)> {
+    fn get(&self, key: &Path) -> io::Result<(Vec<u8>, u64)> {
         self.blobs
             .lock()
             .unwrap()
             .get(key)
             .map(|b| (b.bytes.clone(), b.etag))
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::NotFound,
-                    format!("no such object: {}", key.display()),
-                )
-            })
-    }
-
-    /// ETag, length and mtime at `key` without the bytes.
-    pub fn head(&self, key: &Path) -> Option<(u64, u64, SystemTime)> {
-        self.blobs
-            .lock()
-            .unwrap()
-            .get(key)
-            .map(|b| (b.etag, b.bytes.len() as u64, b.mtime))
+            .ok_or_else(|| not_found(key))
     }
 
     /// Unconditional last-writer-wins put; returns the new ETag.
-    pub fn put(&self, key: &Path, bytes: &[u8]) -> u64 {
-        let etag = self.next_etag();
-        self.blobs.lock().unwrap().insert(
-            key.to_path_buf(),
-            Blob {
-                bytes: bytes.to_vec(),
-                etag,
-                mtime: SystemTime::now(),
-            },
-        );
+    fn put(&self, key: &Path, bytes: &[u8]) -> u64 {
+        let blob = self.blob(bytes);
+        let etag = blob.etag;
+        self.blobs.lock().unwrap().insert(key.to_path_buf(), blob);
         etag
     }
 
     /// Create `key` iff absent; [`io::ErrorKind::AlreadyExists`]
     /// otherwise. Returns the new ETag.
-    pub fn put_if_absent(&self, key: &Path, bytes: &[u8]) -> io::Result<u64> {
+    fn put_if_absent(&self, key: &Path, bytes: &[u8]) -> io::Result<u64> {
         let mut blobs = self.blobs.lock().unwrap();
         if blobs.contains_key(key) {
             return Err(io::Error::new(
@@ -183,202 +93,40 @@ impl BlobService {
                 format!("object exists: {}", key.display()),
             ));
         }
-        let etag = self.etag_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        blobs.insert(
-            key.to_path_buf(),
-            Blob {
-                bytes: bytes.to_vec(),
-                etag,
-                mtime: SystemTime::now(),
-            },
-        );
-        Ok(etag)
-    }
-
-    /// Replace `key` iff its current ETag is `expected`; the loser of a
-    /// precondition race fails with [`io::ErrorKind::NotFound`] ("the
-    /// object you conditioned on is gone"). Returns the new ETag.
-    pub fn put_if_match(&self, key: &Path, bytes: &[u8], expected: u64) -> io::Result<u64> {
-        let mut blobs = self.blobs.lock().unwrap();
-        match blobs.get(key) {
-            Some(b) if b.etag == expected => {}
-            _ => return Err(etag_conflict(key, expected)),
-        }
-        let etag = self.etag_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        blobs.insert(
-            key.to_path_buf(),
-            Blob {
-                bytes: bytes.to_vec(),
-                etag,
-                mtime: SystemTime::now(),
-            },
-        );
+        let blob = self.blob(bytes);
+        let etag = blob.etag;
+        blobs.insert(key.to_path_buf(), blob);
         Ok(etag)
     }
 
     /// Delete `key` iff its current ETag is `expected` — the
-    /// arbitration primitive behind entomb.
-    pub fn delete_if_match(&self, key: &Path, expected: u64) -> io::Result<()> {
+    /// arbitration primitive behind entomb. The loser of a precondition
+    /// race fails with [`io::ErrorKind::NotFound`] ("the object you
+    /// conditioned on is gone"), matching the loser contract of
+    /// `entomb`.
+    fn delete_if_match(&self, key: &Path, expected: u64) -> io::Result<()> {
         let mut blobs = self.blobs.lock().unwrap();
         match blobs.get(key) {
             Some(b) if b.etag == expected => {
                 blobs.remove(key);
                 Ok(())
             }
-            _ => Err(etag_conflict(key, expected)),
-        }
-    }
-
-    /// Unconditional delete; [`io::ErrorKind::NotFound`] when absent.
-    pub fn delete(&self, key: &Path) -> io::Result<()> {
-        if self.blobs.lock().unwrap().remove(key).is_some() {
-            Ok(())
-        } else {
-            Err(io::Error::new(
+            _ => Err(io::Error::new(
                 io::ErrorKind::NotFound,
-                format!("no such object: {}", key.display()),
-            ))
-        }
-    }
-
-    /// Metadata-only mtime refresh (a self-copy in a real store); the
-    /// ETag is unchanged so a concurrent entomb of a *stale* lease is
-    /// not spuriously defeated by its own heartbeat probe.
-    pub fn touch(&self, key: &Path) -> io::Result<()> {
-        if self.set_mtime(key, SystemTime::now()) {
-            Ok(())
-        } else {
-            Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("no such object: {}", key.display()),
-            ))
-        }
-    }
-
-    /// The keys under `dir` — prefix listing, the only enumeration an
-    /// object store has. `recursive` lists the whole prefix; otherwise
-    /// only direct children.
-    pub fn list_prefix(&self, dir: &Path, recursive: bool) -> Vec<FileMeta> {
-        let blobs = self.blobs.lock().unwrap();
-        blobs
-            .iter()
-            .filter(|(p, _)| {
-                if recursive {
-                    p.starts_with(dir) && p.as_path() != dir
-                } else {
-                    p.parent() == Some(dir)
-                }
-            })
-            .map(|(p, b)| FileMeta {
-                path: p.clone(),
-                len: b.bytes.len() as u64,
-                mtime: b.mtime,
-            })
-            .collect()
-    }
-
-    // --- fault gate -------------------------------------------------
-
-    fn record(&self, op: FaultOp, path: &Path, fault: Option<Fault>, ok: bool) {
-        self.journal.lock().unwrap().push(JournalEntry {
-            seq: self.seq.fetch_add(1, Ordering::Relaxed),
-            op,
-            path: path.to_path_buf(),
-            fault,
-            ok,
-        });
-    }
-
-    fn injected(&self, op: FaultOp, path: &Path, fault: Fault, kind: io::ErrorKind) -> io::Error {
-        self.record(op, path, Some(fault), false);
-        io::Error::new(
-            kind,
-            format!("injected fault: {} on {}", fault.tag(), op.tag()),
-        )
-    }
-
-    /// The service-level fault gate every backend operation passes
-    /// through — same semantics as `FaultBackend::gate`: an open
-    /// unavailability window fails everything, transient/latency faults
-    /// error retryably, slow reads are charged and let through, and
-    /// op-specific faults (crash, torn, visibility) are handed back for
-    /// the caller to stage.
-    fn gate(&self, op: FaultOp, path: &Path) -> Result<Option<Fault>, io::Error> {
-        let in_window = self
-            .unavailable
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-            .is_ok();
-        if in_window {
-            return Err(self.injected(op, path, Fault::Unavailable(0), io::ErrorKind::TimedOut));
-        }
-        match self.rules.check(op, path) {
-            Some(f @ Fault::Transient) => {
-                Err(self.injected(op, path, f, io::ErrorKind::WouldBlock))
-            }
-            Some(f @ Fault::Latency(ms)) => {
-                self.waited
-                    .fetch_add(ms.saturating_mul(1000), Ordering::Relaxed);
-                Err(self.injected(op, path, f, io::ErrorKind::TimedOut))
-            }
-            Some(f @ Fault::Unavailable(n)) => {
-                self.unavailable.store(n as u64, Ordering::Relaxed);
-                Err(self.injected(op, path, f, io::ErrorKind::TimedOut))
-            }
-            Some(Fault::SlowRead) => {
-                self.waited.fetch_add(25_000, Ordering::Relaxed);
-                self.record(op, path, Some(Fault::SlowRead), true);
-                Ok(None)
-            }
-            other => Ok(other),
+                format!(
+                    "etag precondition failed (expected {expected}): {}",
+                    key.display()
+                ),
+            )),
         }
     }
 }
 
-fn etag_conflict(key: &Path, expected: u64) -> io::Error {
-    // Losers of a precondition race see the object they conditioned on
-    // as gone — NotFound, matching the loser contract of `entomb`.
+fn not_found(key: &Path) -> io::Error {
     io::Error::new(
         io::ErrorKind::NotFound,
-        format!(
-            "etag precondition failed (expected {expected}): {}",
-            key.display()
-        ),
+        format!("no such object: {}", key.display()),
     )
-}
-
-/// [`StoreBackend`] over a [`BlobService`]. See the [module docs](self)
-/// for how each obligation maps onto the blob API.
-#[derive(Debug, Default)]
-pub struct ObjectStoreBackend {
-    service: Arc<BlobService>,
-}
-
-impl ObjectStoreBackend {
-    /// A backend over a fresh fault-free blob service.
-    pub fn new() -> Self {
-        ObjectStoreBackend::default()
-    }
-
-    /// A backend whose service has `rules` pre-scheduled.
-    pub fn with_rules(rules: impl IntoIterator<Item = FaultRule>) -> Self {
-        let b = ObjectStoreBackend::new();
-        for r in rules {
-            b.service.inject(r);
-        }
-        b
-    }
-
-    /// A backend sharing an existing service (N worker handles over one
-    /// bucket).
-    pub fn with_service(service: Arc<BlobService>) -> Self {
-        ObjectStoreBackend { service }
-    }
-
-    /// The underlying blob service — fault injection, journal, clock
-    /// doctoring.
-    pub fn service(&self) -> &Arc<BlobService> {
-        &self.service
-    }
 }
 
 impl StoreBackend for ObjectStoreBackend {
@@ -393,214 +141,140 @@ impl StoreBackend for ObjectStoreBackend {
     }
 
     fn publish(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let op = FaultOp::Publish;
-        match self.service.gate(op, path)? {
-            Some(f @ (Fault::CrashBeforeRename | Fault::TornWrite(_))) => {
-                // A crashed or torn upload never materializes: the blob
-                // PUT is atomic at the service, so the final key is
-                // simply untouched — no `.tmp-` debris to sweep either.
-                return Err(self.service.injected(op, path, f, io::ErrorKind::Other));
-            }
-            Some(f) => return Err(self.service.injected(op, path, f, io::ErrorKind::Other)),
-            None => {}
-        }
-        self.service.put(path, bytes);
-        self.service.record(op, path, None, true);
+        self.put(path, bytes);
         Ok(())
     }
 
     fn claim(&self, path: &Path, content: &[u8]) -> io::Result<()> {
-        let op = FaultOp::Claim;
-        let fault = self.service.gate(op, path)?;
-        if let Some(Fault::TornWrite(n)) = fault {
-            // The claimant won the conditional create but its upload
-            // was cut short: the key exists with a content prefix.
-            let torn = &content[..n.min(content.len())];
-            return match self.service.put_if_absent(path, torn) {
-                Ok(_) => {
-                    Err(self
-                        .service
-                        .injected(op, path, Fault::TornWrite(n), io::ErrorKind::Other))
-                }
-                Err(e) => {
-                    self.service.record(op, path, None, false);
-                    Err(e)
-                }
-            };
-        }
-        if let Some(f) = fault {
-            return Err(self.service.injected(op, path, f, io::ErrorKind::Other));
-        }
-        match self.service.put_if_absent(path, content) {
-            Ok(_) => {
-                self.service.record(op, path, None, true);
-                Ok(())
-            }
-            Err(e) => {
-                self.service.record(op, path, None, false);
-                Err(e)
-            }
-        }
+        self.put_if_absent(path, content).map(drop)
     }
 
     fn entomb(&self, path: &Path, tomb: &Path) -> io::Result<()> {
-        let op = FaultOp::Entomb;
-        let fault = self.service.gate(op, path)?;
         // ETag-conditional swap: observe, copy to the tomb key, then
         // conditionally delete the source. The delete_if_match is the
         // exactly-one-winner arbitration — every concurrent challenger
         // observed the same ETag and at most one delete can match it.
-        let (bytes, etag) = match self.service.get(path) {
-            Ok(found) => found,
-            Err(e) => {
-                self.service.record(op, path, None, false);
-                return Err(e);
-            }
-        };
-        self.service.put(tomb, &bytes);
-        if let Err(e) = self.service.delete_if_match(path, etag) {
+        let (bytes, etag) = self.get(path)?;
+        self.put(tomb, &bytes);
+        if let Err(e) = self.delete_if_match(path, etag) {
             // Lost the arbitration: withdraw our tomb copy so losers
             // leave no trace, and fail as if the source were gone.
-            let _ = self.service.delete(tomb);
-            self.service.record(op, path, None, false);
+            let _ = self.remove(tomb);
             return Err(e);
         }
-        if let Some(f @ Fault::CrashAfterEntomb) = fault {
-            // The swap is applied — the challenger died before it could
-            // read the tomb and re-create the lease.
-            return Err(self.service.injected(op, path, f, io::ErrorKind::Other));
-        }
-        if let Some(f) = fault {
-            return Err(self.service.injected(op, path, f, io::ErrorKind::Other));
-        }
-        self.service.record(op, path, None, true);
         Ok(())
     }
 
     fn load(&self, path: &Path) -> io::Result<Vec<u8>> {
-        let op = FaultOp::Load;
-        match self.service.gate(op, path)? {
-            Some(f @ Fault::Invisible) => {
-                return Err(self.service.injected(op, path, f, io::ErrorKind::NotFound))
-            }
-            Some(Fault::TornRead(n)) => {
-                return match self.service.get(path) {
-                    Ok((bytes, _)) => {
-                        let torn = bytes[..n.min(bytes.len())].to_vec();
-                        self.service
-                            .record(op, path, Some(Fault::TornRead(n)), true);
-                        Ok(torn)
-                    }
-                    Err(e) => {
-                        self.service
-                            .record(op, path, Some(Fault::TornRead(n)), false);
-                        Err(e)
-                    }
-                };
-            }
-            Some(f) => return Err(self.service.injected(op, path, f, io::ErrorKind::Other)),
-            None => {}
-        }
-        match self.service.get(path) {
-            Ok((bytes, _)) => {
-                self.service.record(op, path, None, true);
-                Ok(bytes)
-            }
-            Err(e) => {
-                self.service.record(op, path, None, false);
-                Err(e)
-            }
-        }
+        self.get(path).map(|(bytes, _)| bytes)
     }
 
     fn contains(&self, path: &Path) -> bool {
-        self.service.head(path).is_some()
+        self.blobs.lock().unwrap().contains_key(path)
     }
 
     fn remove(&self, path: &Path) -> io::Result<()> {
-        let op = FaultOp::Remove;
-        let _ = self.service.gate(op, path)?;
-        let out = self.service.delete(path);
-        self.service.record(op, path, None, out.is_ok());
-        out
+        match self.blobs.lock().unwrap().remove(path) {
+            Some(_) => Ok(()),
+            None => Err(not_found(path)),
+        }
     }
 
     fn refresh(&self, path: &Path) -> io::Result<()> {
-        let op = FaultOp::Refresh;
-        let _ = self.service.gate(op, path)?;
-        let out = self.service.touch(path);
-        self.service.record(op, path, None, out.is_ok());
-        out
+        // A metadata-only touch (a self-copy in a real store): the ETag
+        // is unchanged so a concurrent entomb of a *stale* lease is not
+        // spuriously defeated by its own heartbeat probe.
+        match self.blobs.lock().unwrap().get_mut(path) {
+            Some(b) => {
+                b.mtime = SystemTime::now();
+                Ok(())
+            }
+            None => Err(not_found(path)),
+        }
     }
 
     fn mtime(&self, path: &Path) -> io::Result<SystemTime> {
-        self.service
-            .head(path)
-            .map(|(_, _, mtime)| mtime)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "no such object"))
+        self.blobs
+            .lock()
+            .unwrap()
+            .get(path)
+            .map(|b| b.mtime)
+            .ok_or_else(|| not_found(path))
     }
 
     fn list(&self, dir: &Path, recursive: bool) -> io::Result<Vec<FileMeta>> {
-        Ok(self.service.list_prefix(dir, recursive))
-    }
-
-    fn backoff_wait(&self, pause: Duration) {
-        self.service
-            .waited
-            .fetch_add(pause.as_micros() as u64, Ordering::Relaxed);
+        // Prefix listing, the only enumeration an object store has.
+        let blobs = self.blobs.lock().unwrap();
+        Ok(blobs
+            .iter()
+            .filter(|(p, _)| {
+                if recursive {
+                    p.starts_with(dir) && p.as_path() != dir
+                } else {
+                    p.parent() == Some(dir)
+                }
+            })
+            .map(|(p, b)| FileMeta {
+                path: p.clone(),
+                len: b.bytes.len() as u64,
+                mtime: b.mtime,
+            })
+            .collect())
     }
 }
 
 /// The process-global registry behind the `object` value of
 /// [`crate::STORE_BACKEND_ENV`]: every store root maps onto one shared
-/// [`BlobService`] (no faults scheduled), so the N shard handles a test
-/// opens on one root cooperate through one bucket, exactly as N
+/// [`ObjectStoreBackend`], so the N shard handles a test opens on one
+/// root cooperate through one bucket, exactly as N
 /// [`crate::LocalDirBackend`] handles would on one real directory.
 pub fn object_backend_for(root: &Path) -> Arc<ObjectStoreBackend> {
-    static ROOTS: OnceLock<Mutex<BTreeMap<PathBuf, Arc<BlobService>>>> = OnceLock::new();
-    let service = ROOTS
+    static ROOTS: OnceLock<Mutex<BTreeMap<PathBuf, Arc<ObjectStoreBackend>>>> = OnceLock::new();
+    ROOTS
         .get_or_init(|| Mutex::new(BTreeMap::new()))
         .lock()
         .unwrap()
         .entry(root.to_path_buf())
         .or_default()
-        .clone();
-    Arc::new(ObjectStoreBackend::with_service(service))
+        .clone()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn conditional_puts_arbitrate_on_etags() {
-        let svc = BlobService::new();
+        let bucket = ObjectStoreBackend::new();
         let key = Path::new("/bucket/k");
-        let e1 = svc.put_if_absent(key, b"one").unwrap();
+        let e1 = bucket.put_if_absent(key, b"one").unwrap();
         assert_eq!(
-            svc.put_if_absent(key, b"two").unwrap_err().kind(),
+            bucket.put_if_absent(key, b"two").unwrap_err().kind(),
             io::ErrorKind::AlreadyExists
         );
-        let e2 = svc.put_if_match(key, b"two", e1).unwrap();
+        let e2 = bucket.put(key, b"two");
         assert!(e2 > e1, "every write allocates a fresh etag");
         // A writer still holding the stale etag loses.
-        assert!(svc.put_if_match(key, b"three", e1).is_err());
-        assert!(svc.delete_if_match(key, e1).is_err());
-        svc.delete_if_match(key, e2).unwrap();
-        assert!(svc.head(key).is_none());
+        assert!(bucket.delete_if_match(key, e1).is_err());
+        bucket.delete_if_match(key, e2).unwrap();
+        assert!(!bucket.contains(key));
     }
 
     #[test]
     fn touch_refreshes_mtime_without_changing_the_etag() {
-        let svc = BlobService::new();
+        let bucket = ObjectStoreBackend::new();
         let key = Path::new("/bucket/k");
-        let etag = svc.put_if_absent(key, b"x").unwrap();
-        svc.age(key, Duration::from_secs(100));
-        let (_, _, before) = svc.head(key).unwrap();
-        svc.touch(key).unwrap();
-        let (after_etag, _, after) = svc.head(key).unwrap();
-        assert!(after > before);
-        assert_eq!(after_etag, etag, "refresh must not defeat entomb etags");
+        let etag = bucket.put_if_absent(key, b"x").unwrap();
+        bucket.blobs.lock().unwrap().get_mut(key).unwrap().mtime -= Duration::from_secs(100);
+        let before = bucket.mtime(key).unwrap();
+        bucket.refresh(key).unwrap();
+        assert!(bucket.mtime(key).unwrap() > before);
+        assert_eq!(
+            bucket.get(key).unwrap().1,
+            etag,
+            "refresh must not defeat entomb etags"
+        );
     }
 
     #[test]
@@ -629,30 +303,12 @@ mod tests {
         assert!(!backend.contains(path));
         // Losers withdrew their tomb copies: exactly one tomb remains.
         let tombs = backend
-            .service()
-            .keys()
+            .list(Path::new("/bucket"), true)
+            .unwrap()
             .into_iter()
-            .filter(|k| k.to_string_lossy().contains(".tomb-"))
+            .filter(|m| m.path.to_string_lossy().contains(".tomb-"))
             .count();
         assert_eq!(tombs, 1, "losers must leave no tomb debris");
-    }
-
-    #[test]
-    fn crashed_publish_leaves_the_key_untouched_and_no_debris() {
-        let backend = ObjectStoreBackend::with_rules([FaultRule::on(
-            FaultOp::Publish,
-            "entry.bin",
-            Fault::CrashBeforeRename,
-        )]);
-        let path = Path::new("/bucket/objects/entry.bin");
-        assert!(backend.publish(path, b"payload").is_err());
-        assert!(!backend.contains(path));
-        assert!(
-            backend.service().keys().is_empty(),
-            "a crashed upload must not orphan anything"
-        );
-        backend.publish(path, b"payload").unwrap();
-        assert_eq!(backend.load(path).unwrap(), b"payload");
     }
 
     #[test]
@@ -660,6 +316,7 @@ mod tests {
         let a = object_backend_for(Path::new("/reg/alpha"));
         let b = object_backend_for(Path::new("/reg/alpha"));
         let c = object_backend_for(Path::new("/reg/beta"));
+        assert!(Arc::ptr_eq(&a, &b), "one backend per root");
         a.publish(Path::new("/reg/alpha/x.bin"), b"shared").unwrap();
         assert_eq!(b.load(Path::new("/reg/alpha/x.bin")).unwrap(), b"shared");
         assert!(!c.contains(Path::new("/reg/alpha/x.bin")));

@@ -96,9 +96,9 @@ pub struct ShardConfig {
     pub namespace: Option<String>,
     /// Store backend this shard executes against. `None` (the default)
     /// resolves via [`crate::STORE_BACKEND_ENV`] — the local filesystem
-    /// unless overridden. Tests pass a shared [`crate::FaultBackend`]
-    /// here to run whole sharded campaigns in memory under injected
-    /// faults.
+    /// unless overridden. Tests pass a shared
+    /// [`crate::testing::Faulty`] backend here to run whole sharded
+    /// campaigns under injected faults.
     pub backend: Option<Arc<dyn StoreBackend>>,
 }
 
@@ -576,6 +576,7 @@ mod tests {
     use crate::campaign::StageJob;
     use crate::codec::ValueCodec;
     use crate::report::ReportOptions;
+    use crate::testing::TempDir;
 
     /// Echo runner + string codec (mirrors the campaign tests').
     struct Echo;
@@ -619,17 +620,10 @@ mod tests {
             .build()
     }
 
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("gnnunlock-shard-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
     #[test]
     fn cold_then_warm_sharded_runs_match_persistent() {
-        let dir = tmp_dir("cold-warm");
-        let ref_dir = tmp_dir("cold-warm-ref");
+        let dir = TempDir::new("shard-cold-warm");
+        let ref_dir = TempDir::new("shard-cold-warm-ref");
         let campaign = tiny();
 
         // Single-process reference.
@@ -691,9 +685,6 @@ mod tests {
             .filter(|e| matches!(e, Event::RunStarted { .. }))
             .count();
         assert_eq!(starts, 2);
-
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&ref_dir);
     }
 
     /// Prefer-unleased scheduling must reduce probe-poll iterations: a
@@ -720,7 +711,7 @@ mod tests {
         }
 
         let run_with = |prefer: bool, tag: &str| -> (usize, usize) {
-            let dir = tmp_dir(tag);
+            let dir = TempDir::new(&format!("shard-{tag}"));
             // Five benchmarks: the non-c1 parse/lock/featurize jobs are
             // independent of the peer-held parse(c1), giving the
             // preferred schedule ~12 x 60 ms of productive work — well
@@ -771,7 +762,6 @@ mod tests {
             drop(peer);
             assert!(sharded.run.outcome.all_succeeded());
             let succeeded = sharded.run.outcome.stats.succeeded();
-            let _ = std::fs::remove_dir_all(&dir);
             (sharded.lease_stats.poll_waits, succeeded)
         };
 
@@ -799,7 +789,7 @@ mod tests {
                 Echo.run(job, ctx)
             }
         }
-        let dir = tmp_dir("no-codec");
+        let dir = TempDir::new("shard-no-codec");
         let err = match tiny().execute_sharded(
             &NoCodec,
             ExecConfig::with_workers(1),
@@ -810,7 +800,6 @@ mod tests {
             Ok(_) => panic!("codec-less sharding must be refused"),
         };
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -799,17 +799,11 @@ pub fn gc_roots_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("gnnunlock-store-test-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
-    }
+    use crate::testing::{on_each_substrate, Fault, FaultOp, FaultRule, Faulty, TempDir};
 
     #[test]
     fn round_trip_and_miss() {
-        let dir = tmp_dir("rt");
+        let dir = TempDir::new("store-rt");
         let store = DiskStore::open(&dir).unwrap();
         assert!(store.load(JobKind::Train, 42).is_none());
         store.save(JobKind::Train, 42, b"payload").unwrap();
@@ -823,12 +817,11 @@ mod tests {
         // sharing is just cross-handle sharing plus the version gate).
         let other = DiskStore::open(&dir).unwrap();
         assert_eq!(other.load(JobKind::Train, 42).unwrap(), b"payload");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corrupt_entries_are_evicted() {
-        let dir = tmp_dir("corrupt");
+        let dir = TempDir::new("store-corrupt");
         let store = DiskStore::open(&dir).unwrap();
         store.save(JobKind::Verify, 7, b"good bytes").unwrap();
         let path = store.entry_path(JobKind::Verify, 7);
@@ -864,39 +857,35 @@ mod tests {
         assert!(store.load(JobKind::Verify, 7).is_none());
         assert!(!path.exists());
         assert_eq!(store.stats().evictions, 3);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn version_mismatch_refuses_to_open() {
-        let dir = tmp_dir("version");
-        fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("store-version");
         fs::write(dir.join(VERSION_FILE), "gnnunlock-store v0\n").unwrap();
         let err = DiskStore::open(&dir).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn tags_are_sanitized_into_the_root() {
-        let dir = tmp_dir("sanitize");
+        let dir = TempDir::new("store-sanitize");
         let store = DiskStore::open(&dir).unwrap();
         for tag in ["../../escape", "a/b", "", "..", "ok-tag_9"] {
             let kind = JobKind::Custom(Box::leak(tag.to_string().into_boxed_str()));
             let path = store.entry_path(kind, 1);
-            assert!(path.starts_with(&dir), "{path:?} escaped {dir:?}");
+            assert!(path.starts_with(&*dir), "{path:?} escaped {dir:?}");
             assert!(path
                 .components()
                 .all(|c| c.as_os_str() != ".." && c.as_os_str() != "."));
         }
         assert_eq!(sanitize_tag("../x"), "___x");
         assert_eq!(sanitize_tag(""), "_");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn gc_enforces_budget_and_never_evicts_live_entries() {
-        let dir = tmp_dir("gc");
+        let dir = TempDir::new("store-gc");
         // An earlier process filled the store with entries of known ages.
         let old = DiskStore::open(&dir).unwrap();
         let payload = [7u8; 64];
@@ -972,12 +961,11 @@ mod tests {
         assert!(!stale_lease.exists(), "ancient lease must be collected");
         assert!(!stale_tomb.exists(), "ancient tomb must be collected");
         assert!(fresh_lease.exists(), "recent lease must be left alone");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn tenant_namespaces_are_disjoint_and_accounted() {
-        let dir = tmp_dir("tenant");
+        let dir = TempDir::new("store-tenant");
         let shared = DiskStore::open(&dir).unwrap();
         let alice = DiskStore::open_namespaced(&dir, "alice").unwrap();
         let bob = DiskStore::open_namespaced(&dir, "b/ob").unwrap(); // sanitized
@@ -1021,15 +1009,14 @@ mod tests {
         assert!(alice.is_empty());
         assert!(shared.load(JobKind::Lock, 1).is_some());
         assert!(bob.load(JobKind::Lock, 1).is_some());
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn gc_roots_enforces_a_cross_store_budget_with_protected_roots() {
         // Two campaign directories of one tenant: the quota spans both,
         // but the running campaign's root is protected.
-        let a = tmp_dir("roots-a");
-        let b = tmp_dir("roots-b");
+        let a = TempDir::new("store-roots-a");
+        let b = TempDir::new("store-roots-b");
         let store_a = DiskStore::open_namespaced(&a, "t").unwrap();
         let store_b = DiskStore::open_namespaced(&b, "t").unwrap();
         let payload = [1u8; 32];
@@ -1059,13 +1046,11 @@ mod tests {
         assert_eq!(stats.live_protected, 4);
         assert_eq!(store_a.len(), 0);
         assert_eq!(store_b.len(), 4);
-        let _ = fs::remove_dir_all(&a);
-        let _ = fs::remove_dir_all(&b);
     }
 
     #[test]
     fn contains_is_a_cheap_presence_check() {
-        let dir = tmp_dir("contains");
+        let dir = TempDir::new("store-contains");
         let store = DiskStore::open(&dir).unwrap();
         assert!(!store.contains(JobKind::Lock, 8));
         store.save(JobKind::Lock, 8, b"x").unwrap();
@@ -1073,19 +1058,17 @@ mod tests {
         assert!(!store.contains(JobKind::Train, 8));
         // contains never loads: stats untouched.
         assert_eq!(store.stats().loads, 0);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn len_counts_entries() {
-        let dir = tmp_dir("len");
+        let dir = TempDir::new("store-len");
         let store = DiskStore::open(&dir).unwrap();
         assert!(store.is_empty());
         store.save(JobKind::Lock, 1, b"a").unwrap();
         store.save(JobKind::Lock, 2, b"b").unwrap();
         store.save(JobKind::Train, 1, b"c").unwrap();
         assert_eq!(store.len(), 3);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     /// Satellite regression: byte accounting (usage_bytes,
@@ -1094,7 +1077,7 @@ mod tests {
     /// a tenant's budget.
     #[test]
     fn protocol_files_are_never_billed_to_budgets() {
-        let dir = tmp_dir("billing");
+        let dir = TempDir::new("store-billing");
         let store = DiskStore::open_namespaced(&dir, "acme").unwrap();
         store.save(JobKind::Lock, 1, &[7u8; 64]).unwrap();
         let entries_only = store.usage_bytes();
@@ -1112,7 +1095,6 @@ mod tests {
         assert_eq!(stats.bytes_before, entries_only);
         let stats = gc_roots(&[store.objects_root()], &[], u64::MAX);
         assert_eq!(stats.bytes_before, entries_only);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     /// Satellite regression: the tenant-budget sweep ([`gc_roots`], the
@@ -1122,7 +1104,7 @@ mod tests {
     /// leaked forever.
     #[test]
     fn gc_roots_collects_stale_orphaned_protocol_files() {
-        let dir = tmp_dir("roots-orphans");
+        let dir = TempDir::new("store-roots-orphans");
         let store = DiskStore::open_namespaced(&dir, "t").unwrap();
         store.save(JobKind::Lock, 1, &[1u8; 16]).unwrap();
         let objects = store.objects_root().join("lock");
@@ -1146,7 +1128,6 @@ mod tests {
         assert!(!stale_tomb.exists(), "stale orphan tomb must be collected");
         assert!(fresh_tmp.exists(), "in-flight tmp must be left alone");
         assert!(store.load(JobKind::Lock, 1).is_some());
-        let _ = fs::remove_dir_all(&dir);
     }
 
     /// A single transient read error (EAGAIN-style) is absorbed by the
@@ -1155,62 +1136,62 @@ mod tests {
     /// lone transient evicted a good entry.
     #[test]
     fn transient_load_errors_do_not_evict() {
-        use crate::backend::{Fault, FaultBackend, FaultOp, FaultRule};
-        let backend = Arc::new(FaultBackend::new());
-        let store =
-            DiskStore::open_with_backend(Path::new("/virtual/transient"), "", backend.clone())
-                .unwrap();
-        store.save(JobKind::Train, 5, b"payload").unwrap();
-        backend.inject(FaultRule::on(FaultOp::Load, ".bin", Fault::Transient));
-        assert_eq!(
-            store.load(JobKind::Train, 5).unwrap(),
-            b"payload",
-            "one transient is retried through"
-        );
-        assert_eq!(store.stats().evictions, 0, "entry must not be evicted");
-        backend.inject(FaultRule::on(
-            FaultOp::Load,
-            "",
-            Fault::Unavailable(usize::MAX),
-        ));
-        assert!(store.load(JobKind::Train, 5).is_none(), "outage = miss");
-        assert_eq!(store.stats().evictions, 0, "entry must not be evicted");
-        backend.clear_rules();
-        assert_eq!(store.load(JobKind::Train, 5).unwrap(), b"payload");
+        fn check<B: StoreBackend + 'static>(root: &Path, backend: Arc<Faulty<B>>) {
+            let store = DiskStore::open_with_backend(root, "", backend.clone()).unwrap();
+            store.save(JobKind::Train, 5, b"payload").unwrap();
+            backend.inject(FaultRule::on(FaultOp::Load, ".bin", Fault::Transient));
+            assert_eq!(
+                store.load(JobKind::Train, 5).unwrap(),
+                b"payload",
+                "one transient is retried through"
+            );
+            assert_eq!(store.stats().evictions, 0, "entry must not be evicted");
+            backend.inject(FaultRule::on(
+                FaultOp::Load,
+                "",
+                Fault::Unavailable(usize::MAX),
+            ));
+            assert!(store.load(JobKind::Train, 5).is_none(), "outage = miss");
+            assert_eq!(store.stats().evictions, 0, "entry must not be evicted");
+            backend.clear_rules();
+            assert_eq!(store.load(JobKind::Train, 5).unwrap(), b"payload");
+        }
+        on_each_substrate("store-transient", check, check);
     }
 
-    /// The whole store surface works identically over the in-memory
-    /// backend: version gate, round trip, corruption eviction, GC.
+    /// The whole store surface works identically over any substrate
+    /// behind the fault decorator: version gate, round trip, corruption
+    /// eviction, GC.
     #[test]
-    fn memory_backend_round_trips_and_gcs() {
-        use crate::backend::FaultBackend;
-        let backend = Arc::new(FaultBackend::new());
-        let root = Path::new("/virtual/mem-store");
-        let store = DiskStore::open_with_backend(root, "", backend.clone()).unwrap();
-        store.save(JobKind::Train, 42, b"payload").unwrap();
-        assert_eq!(store.load(JobKind::Train, 42).unwrap(), b"payload");
-        assert!(store.contains(JobKind::Train, 42));
-        assert_eq!(store.len(), 1);
+    fn store_round_trips_and_gcs_on_each_substrate() {
+        fn check<B: StoreBackend + 'static>(root: &Path, backend: Arc<Faulty<B>>) {
+            let store = DiskStore::open_with_backend(root, "", backend.clone()).unwrap();
+            store.save(JobKind::Train, 42, b"payload").unwrap();
+            assert_eq!(store.load(JobKind::Train, 42).unwrap(), b"payload");
+            assert!(store.contains(JobKind::Train, 42));
+            assert_eq!(store.len(), 1);
 
-        // A second handle over the same backend shares entries and the
-        // version gate.
-        let other = DiskStore::open_with_backend(root, "", backend.clone()).unwrap();
-        assert_eq!(other.load(JobKind::Train, 42).unwrap(), b"payload");
+            // A second handle over the same backend shares entries and the
+            // version gate.
+            let other = DiskStore::open_with_backend(root, "", backend.clone()).unwrap();
+            assert_eq!(other.load(JobKind::Train, 42).unwrap(), b"payload");
 
-        // Corrupt in place: evicted on load.
-        let path = store.entry_path(JobKind::Train, 42);
-        let mut bytes = backend.read_raw(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff;
-        backend.insert_raw(&path, &bytes);
-        assert!(store.load(JobKind::Train, 42).is_none());
-        assert!(!backend.contains(&path), "corrupt entry evicted");
+            // Corrupt in place: evicted on load.
+            let path = store.entry_path(JobKind::Train, 42);
+            let mut bytes = backend.load(&path).unwrap();
+            let last = bytes.len() - 1;
+            bytes[last] ^= 0xff;
+            backend.publish(&path, &bytes).unwrap();
+            assert!(store.load(JobKind::Train, 42).is_none());
+            assert!(!backend.contains(&path), "corrupt entry evicted");
 
-        // GC under a zero budget clears a fresh handle's view.
-        store.save(JobKind::Train, 43, b"x").unwrap();
-        let sweeper = DiskStore::open_with_backend(root, "", backend.clone()).unwrap();
-        let stats = sweeper.gc(0);
-        assert_eq!(stats.bytes_after, 0);
-        assert!(sweeper.is_empty());
+            // GC under a zero budget clears a fresh handle's view.
+            store.save(JobKind::Train, 43, b"x").unwrap();
+            let sweeper = DiskStore::open_with_backend(root, "", backend.clone()).unwrap();
+            let stats = sweeper.gc(0);
+            assert_eq!(stats.bytes_after, 0);
+            assert!(sweeper.is_empty());
+        }
+        on_each_substrate("store-round-trip", check, check);
     }
 }

@@ -3,9 +3,10 @@
 //! wins publish, exactly-one-winner claim, rename/swap-arbitrated
 //! takeover, and usage accounting that never bills in-flight protocol
 //! blobs. The `conformance_*` tests below run each obligation against
-//! all three implementations (`local` directories, the in-memory
-//! `FaultBackend`, the conditional-put `ObjectStoreBackend`) in one
-//! process, so a contract regression names the offending backend.
+//! both substrates (`local` directories, the conditional-put `object`
+//! map) and against a rule-free [`Faulty`] over a local directory —
+//! which proves the fault decorator transparent — in one process, so a
+//! contract regression names the offending backend.
 //!
 //! The two env-driven smokes at the bottom additionally run the *same
 //! binary* under each `GNNUNLOCK_STORE_BACKEND` value in CI's backends
@@ -13,12 +14,12 @@
 //! default [`ShardConfig`]) where the matrix variable is the
 //! environment, not the test code.
 
+use gnnunlock_engine::testing::{Faulty, TempDir};
 use gnnunlock_engine::{
     execution_counts, shard_replays, tenant_usage_with, Campaign, CampaignRunner, DiskStore,
-    ExecConfig, FaultBackend, JobCtx, JobKind, JobOutput, JobValue, LocalDirBackend,
-    ObjectStoreBackend, ReportOptions, ShardConfig, StageJob, StoreBackend, ValueCodec,
+    ExecConfig, JobCtx, JobKind, JobOutput, JobValue, LocalDirBackend, ObjectStoreBackend,
+    ReportOptions, ShardConfig, StageJob, StoreBackend, ValueCodec,
 };
-use std::path::PathBuf;
 use std::sync::Arc;
 
 struct Echo;
@@ -54,40 +55,22 @@ impl CampaignRunner for Echo {
     }
 }
 
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "gnnunlock-backend-matrix-{tag}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// The three implementations under conformance, each with a root unique
-/// to `tag`: `local` needs a real temp directory; the virtual backends
-/// use absolute virtual paths.
-fn conformance_backends(tag: &str) -> Vec<(&'static str, Arc<dyn StoreBackend>, PathBuf)> {
-    let local_root = tmp_dir(&format!("conf-{tag}-local"));
-    std::fs::create_dir_all(&local_root).unwrap();
+/// The implementations under conformance, each with its own root.
+fn conformance_backends(tag: &str) -> Vec<(&'static str, Arc<dyn StoreBackend>, TempDir)> {
+    let root = |name: &str| TempDir::new(&format!("backend-matrix-{tag}-{name}"));
     vec![
-        ("local", Arc::new(LocalDirBackend::new()), local_root),
-        (
-            "memory",
-            Arc::new(FaultBackend::new()),
-            PathBuf::from(format!("/virtual/conformance/{tag}")),
-        ),
+        ("local", Arc::new(LocalDirBackend::new()), root("local")),
         (
             "object",
             Arc::new(ObjectStoreBackend::new()),
-            PathBuf::from(format!("/bucket/conformance/{tag}")),
+            root("object"),
+        ),
+        (
+            "faulty-local",
+            Arc::new(Faulty::new(LocalDirBackend::new())),
+            root("faulty-local"),
         ),
     ]
-}
-
-fn conformance_cleanup(name: &str, root: &PathBuf) {
-    if name == "local" {
-        let _ = std::fs::remove_dir_all(root);
-    }
 }
 
 /// Publish is an atomic last-writer-wins swap on every backend: a later
@@ -117,7 +100,6 @@ fn conformance_publish_is_atomic_and_last_writer_wins() {
             payloads.contains(&got),
             "{name}: racing publishes tore the entry: {got:?}"
         );
-        conformance_cleanup(name, &root);
     }
 }
 
@@ -160,7 +142,6 @@ fn conformance_claim_has_exactly_one_winner() {
             contents[winner],
             "{name}: the winner's content must survive intact"
         );
-        conformance_cleanup(name, &root);
     }
 }
 
@@ -211,7 +192,6 @@ fn conformance_takeover_entomb_arbitrates_one_winner() {
             buried,
             "{name}: the tomb must carry the buried lease"
         );
-        conformance_cleanup(name, &root);
     }
 }
 
@@ -242,13 +222,12 @@ fn conformance_usage_accounting_excludes_in_flight_protocol_blobs() {
             Some(billed),
             "{name}: tenant rollup must agree: {usage:?}"
         );
-        conformance_cleanup(name, &root);
     }
 }
 
 #[test]
 fn disk_store_round_trips_on_the_selected_backend() {
-    let dir = tmp_dir("store");
+    let dir = TempDir::new("backend-matrix-store");
     let store = DiskStore::open(&dir).unwrap();
     assert!(!store.contains(JobKind::Train, 0xfeed));
     store
@@ -266,12 +245,11 @@ fn disk_store_round_trips_on_the_selected_backend() {
     // cross-process story every backend must support.
     let peer = DiskStore::open(&dir).unwrap();
     assert!(peer.contains(JobKind::Train, 0xfeed));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn sharded_toy_campaign_completes_on_the_selected_backend() {
-    let dir = tmp_dir("sharded");
+    let dir = TempDir::new("backend-matrix-sharded");
     let campaign = Campaign::builder("backend-matrix")
         .scheme("antisat")
         .benchmarks(["c1", "c2"])
@@ -307,5 +285,4 @@ fn sharded_toy_campaign_completes_on_the_selected_backend() {
     let counts = execution_counts(&shard_replays(&dir).unwrap());
     assert_eq!(counts.len(), campaign.plan().len());
     assert!(counts.values().all(|&n| n == 1), "{counts:?}");
-    let _ = std::fs::remove_dir_all(&dir);
 }

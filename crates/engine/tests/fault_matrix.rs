@@ -1,26 +1,31 @@
 //! The deterministic crash/takeover matrix: every crash window of the
-//! claim/publish/takeover/heartbeat protocol, reproduced in memory on a
-//! [`FaultBackend`] with no sleeps, no SIGKILL choreography and no
+//! claim/publish/takeover/heartbeat protocol, reproduced through the
+//! [`Faulty`] decorator with no sleeps, no SIGKILL choreography and no
 //! timing dependence (`tests/sharded.rs` keeps one real-process SIGKILL
-//! test as smoke).
+//! test as smoke). Every scenario runs twice, through
+//! [`on_each_substrate`]: on `Faulty<LocalDirBackend>` over a real temp
+//! directory — the backend a campaign ships with — and on
+//! `Faulty<ObjectStoreBackend>`, the conditional-put blob map.
 //!
 //! Strategy: each scenario *constructs* the genuine post-crash state
 //! through the real APIs — claim a lease, [`LeaseManager::abandon`] it
 //! (the deterministic stand-in for process death: files stay, heartbeat
-//! stops), back-date mtimes with [`FaultBackend::age`] instead of
-//! sleeping, or fire one injected fault — then runs clean survivor
-//! shards over the shared backend and asserts the invariants the
-//! protocol promises: the campaign completes, the report is
-//! byte-identical to a faultless reference, no job body completes more
-//! than once, and no lease or tomb file is left wedged.
+//! stops), back-date mtimes with [`Faulty::age`] instead of sleeping,
+//! or fire one injected fault — then runs clean survivor shards over
+//! the shared backend and asserts the invariants the protocol promises:
+//! the campaign completes, the report is byte-identical to a faultless
+//! reference, no job body completes more than once, and no lease or
+//! tomb file is left wedged.
 
-use gnnunlock_engine::{
-    execution_counts, shard_replays, Campaign, CampaignRunner, Claim, DiskStore, ExecConfig, Fault,
-    FaultBackend, FaultOp, FaultRule, JobCtx, JobKind, JobOutput, JobStatus, JobValue,
-    LeaseManager, ObjectStoreBackend, ReportOptions, ShardConfig, StageJob, StoreBackend,
-    ValueCodec, DEGRADED_PREFIX,
+use gnnunlock_engine::testing::{
+    on_each_substrate, recoverable_schedule, Fault, FaultOp, FaultRule, Faulty, TempDir,
 };
-use std::path::PathBuf;
+use gnnunlock_engine::{
+    execution_counts, shard_replays, Campaign, CampaignRunner, Claim, DiskStore, ExecConfig,
+    JobCtx, JobKind, JobOutput, JobStatus, JobValue, LeaseManager, ObjectStoreBackend,
+    ReportOptions, ShardConfig, StageJob, StoreBackend, ValueCodec, DEGRADED_PREFIX,
+};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -66,19 +71,10 @@ fn toy() -> Campaign {
         .build()
 }
 
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "gnnunlock-fault-matrix-{tag}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// The faultless reference report every scenario's shards must match.
 fn reference_report() -> String {
-    let dir = tmp_dir("reference");
-    let backend = Arc::new(FaultBackend::new());
+    let dir = TempDir::new("fault-matrix-reference");
+    let backend = Arc::new(ObjectStoreBackend::new());
     let run = toy()
         .execute_sharded(
             &Echo,
@@ -88,15 +84,13 @@ fn reference_report() -> String {
         )
         .unwrap();
     assert!(run.run.outcome.all_succeeded());
-    let report = run.run.report(ReportOptions::default()).to_json();
-    let _ = std::fs::remove_dir_all(&dir);
-    report
+    run.run.report(ReportOptions::default()).to_json()
 }
 
 /// Run shards `s0..sN` sequentially over `backend`, asserting each
 /// succeeds and reproduces `reference` byte-for-byte.
 fn run_survivors<B: StoreBackend + 'static>(
-    dir: &std::path::Path,
+    dir: &Path,
     backend: &Arc<B>,
     shards: usize,
     ttl: Duration,
@@ -111,7 +105,7 @@ fn run_survivors<B: StoreBackend + 'static>(
                 dir,
                 &ShardConfig::new(format!("s{i}"))
                     .with_ttl(ttl)
-                    .with_backend(backend.clone() as Arc<dyn gnnunlock_engine::StoreBackend>),
+                    .with_backend(backend.clone()),
             )
             .unwrap_or_else(|e| panic!("{scenario}: shard s{i} failed: {e}"));
         assert!(
@@ -126,17 +120,28 @@ fn run_survivors<B: StoreBackend + 'static>(
     }
 }
 
-/// After a scenario: no lease still claimed, no tomb left behind.
-fn assert_no_wedged_protocol_files(backend: &FaultBackend, scenario: &str) {
-    let leftovers: Vec<_> = backend
-        .paths()
+/// Every path under `dir` whose file name satisfies `pred`.
+fn paths_named(
+    backend: &dyn StoreBackend,
+    dir: &Path,
+    pred: impl Fn(&str) -> bool,
+) -> Vec<PathBuf> {
+    backend
+        .list(dir, true)
+        .unwrap()
         .into_iter()
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.ends_with(".lease") || n.contains(".tomb-"))
-        })
-        .collect();
+        .map(|m| m.path)
+        .filter(|p| p.file_name().and_then(|n| n.to_str()).is_some_and(&pred))
+        .collect()
+}
+
+fn is_lease_or_tomb(name: &str) -> bool {
+    name.ends_with(".lease") || name.contains(".tomb-")
+}
+
+/// After a scenario: no lease still claimed, no tomb left behind.
+fn assert_no_wedged_protocol_files(backend: &dyn StoreBackend, dir: &Path, scenario: &str) {
+    let leftovers = paths_named(backend, dir, is_lease_or_tomb);
     assert!(
         leftovers.is_empty(),
         "{scenario}: wedged protocol files: {leftovers:?}"
@@ -144,7 +149,7 @@ fn assert_no_wedged_protocol_files(backend: &FaultBackend, scenario: &str) {
 }
 
 /// Every job body completed exactly once across all shard logs.
-fn assert_single_execution(dir: &std::path::Path, scenario: &str) {
+fn assert_single_execution(dir: &Path, scenario: &str) {
     let replays = shard_replays(dir).unwrap();
     let counts = execution_counts(&replays);
     assert_eq!(
@@ -160,19 +165,12 @@ fn assert_single_execution(dir: &std::path::Path, scenario: &str) {
 
 /// The store, lease manager and (kind, fp, lease path) of the
 /// campaign's first ready job, for pre-seeding crash states.
-fn victim_setup(
-    dir: &std::path::Path,
-    backend: &Arc<FaultBackend>,
+fn victim_setup<B: StoreBackend + 'static>(
+    dir: &Path,
+    backend: &Arc<Faulty<B>>,
     ttl: Duration,
 ) -> (Arc<DiskStore>, LeaseManager, JobKind, u64, PathBuf) {
-    let store = Arc::new(
-        DiskStore::open_with_backend(
-            dir,
-            "",
-            backend.clone() as Arc<dyn gnnunlock_engine::StoreBackend>,
-        )
-        .unwrap(),
-    );
+    let store = Arc::new(DiskStore::open_with_backend(dir, "", backend.clone()).unwrap());
     let victim = LeaseManager::new(store.clone(), "victim", ttl);
     let campaign = toy();
     let plan = campaign.plan();
@@ -185,24 +183,25 @@ fn victim_setup(
 
 /// Crash window: the owner dies mid-job (lease on disk, heartbeat
 /// gone). Survivors must take the job over after the TTL and finish the
-/// campaign with no double execution — the in-memory replica of the
+/// campaign with no double execution — the deterministic replica of the
 /// SIGKILL smoke test, with `age` standing in for the TTL wait.
 #[test]
 fn dead_owner_lease_is_taken_over_without_sleeps() {
-    let dir = tmp_dir("dead-owner");
-    let backend = Arc::new(FaultBackend::new());
-    let ttl = Duration::from_secs(30);
-    let reference = reference_report();
+    fn scenario<B: StoreBackend + 'static>(dir: &Path, backend: Arc<Faulty<B>>) {
+        let name = format!("dead-owner/{}", backend.name());
+        let ttl = Duration::from_secs(30);
+        let reference = reference_report();
 
-    let (_store, victim, kind, fp, lease) = victim_setup(&dir, &backend, ttl);
-    assert!(matches!(victim.try_claim(kind, fp), Claim::Acquired { .. }));
-    victim.abandon(); // process death: the lease file stays, unbeaten
-    assert!(backend.age(&lease, ttl * 2), "lease must exist to age");
+        let (_store, victim, kind, fp, lease) = victim_setup(dir, &backend, ttl);
+        assert!(matches!(victim.try_claim(kind, fp), Claim::Acquired { .. }));
+        victim.abandon(); // process death: the lease file stays, unbeaten
+        assert!(backend.age(&lease, ttl * 2), "lease must exist to age");
 
-    run_survivors(&dir, &backend, 3, ttl, &reference, "dead-owner");
-    assert_single_execution(&dir, "dead-owner");
-    assert_no_wedged_protocol_files(&backend, "dead-owner");
-    let _ = std::fs::remove_dir_all(&dir);
+        run_survivors(dir, &backend, 3, ttl, &reference, &name);
+        assert_single_execution(dir, &name);
+        assert_no_wedged_protocol_files(&*backend, dir, &name);
+    }
+    on_each_substrate("fault-matrix-dead-owner", scenario, scenario);
 }
 
 /// Crash window: a challenger died *between* the tomb rename and the
@@ -211,58 +210,62 @@ fn dead_owner_lease_is_taken_over_without_sleeps() {
 /// buried generation, claims immediately, and sweeps the tomb.
 #[test]
 fn interrupted_takeover_is_completed_by_the_next_claimant() {
-    let dir = tmp_dir("interrupted-takeover");
-    let backend = Arc::new(FaultBackend::new());
-    let ttl = Duration::from_secs(30);
-    let reference = reference_report();
+    fn scenario<B: StoreBackend + 'static>(dir: &Path, backend: Arc<Faulty<B>>) {
+        let name = format!("interrupted-takeover/{}", backend.name());
+        let ttl = Duration::from_secs(30);
+        let reference = reference_report();
+        let is_tomb = |n: &str| n.contains(".tomb-");
 
-    // A stale lease at generation 3 (an owner that died mid-epoch)...
-    let (store, victim, kind, fp, lease) = victim_setup(&dir, &backend, ttl);
-    backend.insert_raw(&lease, b"gnnunlock-lease owner=old pid=1 gen=3\n");
-    backend.age(&lease, ttl * 2);
-    drop(victim);
-    // ...whose takeover crashes right after the entomb rename.
-    backend.inject(FaultRule::on(
-        FaultOp::Entomb,
-        ".lease",
-        Fault::CrashAfterEntomb,
-    ));
-    let challenger = LeaseManager::new(store.clone(), "challenger", ttl);
-    assert_eq!(challenger.try_claim(kind, fp), Claim::Busy);
-    challenger.abandon();
-    let tombs: Vec<_> = backend
-        .paths()
-        .into_iter()
-        .filter(|p| p.to_string_lossy().contains(".tomb-"))
-        .collect();
-    assert_eq!(tombs.len(), 1, "the crash leaves exactly the orphan tomb");
-    assert!(!backend.contains(&lease), "the lease itself is gone");
+        // A stale lease at generation 3 (an owner that died mid-epoch)...
+        let (store, victim, kind, fp, lease) = victim_setup(dir, &backend, ttl);
+        backend
+            .publish(&lease, b"gnnunlock-lease owner=old pid=1 gen=3\n")
+            .unwrap();
+        backend.age(&lease, ttl * 2);
+        drop(victim);
+        // ...whose takeover crashes right after the entomb rename.
+        backend.inject(FaultRule::on(
+            FaultOp::Entomb,
+            ".lease",
+            Fault::CrashAfterEntomb,
+        ));
+        let challenger = LeaseManager::new(store.clone(), "challenger", ttl);
+        assert_eq!(challenger.try_claim(kind, fp), Claim::Busy);
+        challenger.abandon();
+        let tombs = paths_named(&*backend, dir, is_tomb);
+        assert_eq!(
+            tombs.len(),
+            1,
+            "{name}: the crash leaves exactly the orphan tomb"
+        );
+        assert!(
+            !backend.contains(&lease),
+            "{name}: the lease itself is gone"
+        );
 
-    // The next claimant needs no TTL wait: the job is free *now*, the
-    // buried generation is adopted (monotonic epochs), the tomb swept.
-    let next = LeaseManager::new(store.clone(), "next", ttl);
-    assert_eq!(
-        next.try_claim(kind, fp),
-        Claim::Acquired {
-            generation: 4,
-            takeover: true
-        },
-        "orphaned takeover must be completable immediately"
-    );
-    assert!(
-        !backend
-            .paths()
-            .iter()
-            .any(|p| p.to_string_lossy().contains(".tomb-")),
-        "successful claim must sweep the orphaned tomb"
-    );
-    assert!(next.release(kind, fp));
-    drop(next);
+        // The next claimant needs no TTL wait: the job is free *now*, the
+        // buried generation is adopted (monotonic epochs), the tomb swept.
+        let next = LeaseManager::new(store.clone(), "next", ttl);
+        assert_eq!(
+            next.try_claim(kind, fp),
+            Claim::Acquired {
+                generation: 4,
+                takeover: true
+            },
+            "{name}: orphaned takeover must be completable immediately"
+        );
+        assert!(
+            paths_named(&*backend, dir, is_tomb).is_empty(),
+            "{name}: successful claim must sweep the orphaned tomb"
+        );
+        assert!(next.release(kind, fp));
+        drop(next);
 
-    run_survivors(&dir, &backend, 3, ttl, &reference, "interrupted-takeover");
-    assert_single_execution(&dir, "interrupted-takeover");
-    assert_no_wedged_protocol_files(&backend, "interrupted-takeover");
-    let _ = std::fs::remove_dir_all(&dir);
+        run_survivors(dir, &backend, 3, ttl, &reference, &name);
+        assert_single_execution(dir, &name);
+        assert_no_wedged_protocol_files(&*backend, dir, &name);
+    }
+    on_each_substrate("fault-matrix-interrupted-takeover", scenario, scenario);
 }
 
 /// Crash window: a writer died after staging its entry bytes but before
@@ -271,50 +274,52 @@ fn interrupted_takeover_is_completed_by_the_next_claimant() {
 /// orphaned temp is invisible to byte accounting and collectable by GC.
 #[test]
 fn crash_before_publish_rename_leaves_no_torn_entry() {
-    let dir = tmp_dir("crash-publish");
-    let backend = Arc::new(FaultBackend::new());
-    let ttl = Duration::from_secs(30);
-    let reference = reference_report();
+    fn scenario<B: StoreBackend + 'static>(dir: &Path, backend: Arc<Faulty<B>>) {
+        let name = format!("crash-publish/{}", backend.name());
+        let ttl = Duration::from_secs(30);
+        let reference = reference_report();
 
-    let (store, victim, _kind, _fp, lease) = victim_setup(&dir, &backend, ttl);
-    let entry = lease.with_extension("bin");
-    backend.inject(FaultRule::on(
-        FaultOp::Publish,
-        ".bin",
-        Fault::CrashBeforeRename,
-    ));
-    assert!(backend.publish(&entry, b"half-written payload").is_err());
-    assert!(
-        !backend.contains(&entry),
-        "final name untouched by the crash"
-    );
-    let orphan = backend
-        .paths()
-        .into_iter()
-        .find(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with(".tmp-"))
-        })
-        .expect("crash leaves the staged temp behind");
-    victim.abandon();
+        let (store, victim, _kind, _fp, lease) = victim_setup(dir, &backend, ttl);
+        let entry = lease.with_extension("bin");
+        backend.inject(FaultRule::on(
+            FaultOp::Publish,
+            ".bin",
+            Fault::CrashBeforeRename,
+        ));
+        assert!(backend.publish(&entry, b"half-written payload").is_err());
+        assert!(
+            !backend.contains(&entry),
+            "{name}: final name untouched by the crash"
+        );
+        let orphan = paths_named(&*backend, dir, |n| n.starts_with(".tmp-"))
+            .pop()
+            .expect("crash leaves the staged temp behind");
+        victim.abandon();
 
-    run_survivors(&dir, &backend, 3, ttl, &reference, "crash-publish");
-    assert_single_execution(&dir, "crash-publish");
-    assert_no_wedged_protocol_files(&backend, "crash-publish");
+        run_survivors(dir, &backend, 3, ttl, &reference, &name);
+        assert_single_execution(dir, &name);
+        assert_no_wedged_protocol_files(&*backend, dir, &name);
 
-    // The orphan never counts toward byte budgets, and once stale it is
-    // swept by the next GC pass (any budget — orphans are not entries).
-    let billed = store.usage_bytes();
-    assert!(
-        backend.contains(&orphan),
-        "orphan survives until it goes stale"
-    );
-    backend.age(&orphan, Duration::from_secs(2 * 3600));
-    store.gc(u64::MAX);
-    assert!(!backend.contains(&orphan), "stale orphan must be collected");
-    assert_eq!(store.usage_bytes(), billed, "orphans were never billed");
-    let _ = std::fs::remove_dir_all(&dir);
+        // The orphan never counts toward byte budgets, and once stale it is
+        // swept by the next GC pass (any budget — orphans are not entries).
+        let billed = store.usage_bytes();
+        assert!(
+            backend.contains(&orphan),
+            "{name}: orphan survives until it goes stale"
+        );
+        backend.age(&orphan, Duration::from_secs(2 * 3600));
+        store.gc(u64::MAX);
+        assert!(
+            !backend.contains(&orphan),
+            "{name}: stale orphan must be collected"
+        );
+        assert_eq!(
+            store.usage_bytes(),
+            billed,
+            "{name}: orphans were never billed"
+        );
+    }
+    on_each_substrate("fault-matrix-crash-publish", scenario, scenario);
 }
 
 /// Crash window: a claimant won the create but died mid-write, leaving
@@ -325,46 +330,51 @@ fn crash_before_publish_rename_leaves_no_torn_entry() {
 /// parsing as 0.
 #[test]
 fn torn_lease_files_never_decide_ownership() {
-    let dir = tmp_dir("torn-claim");
-    let backend = Arc::new(FaultBackend::new());
-    let ttl = Duration::from_secs(30);
-    let reference = reference_report();
+    fn scenario<B: StoreBackend + 'static>(dir: &Path, backend: Arc<Faulty<B>>) {
+        let name = format!("torn-claim/{}", backend.name());
+        let ttl = Duration::from_secs(30);
+        let reference = reference_report();
 
-    let (store, victim, kind, fp, lease) = victim_setup(&dir, &backend, ttl);
-    drop(victim);
-    backend.inject(FaultRule::on(FaultOp::Claim, ".lease", Fault::TornWrite(9)));
-    let peer = LeaseManager::new(store.clone(), "peer", ttl);
-    // The peer's claim "succeeded" at the backend then the peer died:
-    // a torn lease file exists under the claimed name.
-    assert_eq!(peer.try_claim(kind, fp), Claim::Busy);
-    peer.abandon();
-    let torn = backend.read_raw(&lease).expect("torn lease file exists");
-    assert!(torn.len() < 20, "file must actually be torn: {torn:?}");
+        let (store, victim, kind, fp, lease) = victim_setup(dir, &backend, ttl);
+        drop(victim);
+        backend.inject(FaultRule::on(FaultOp::Claim, ".lease", Fault::TornWrite(9)));
+        let peer = LeaseManager::new(store.clone(), "peer", ttl);
+        // The peer's claim "succeeded" at the backend then the peer died:
+        // a torn lease file exists under the claimed name.
+        assert_eq!(peer.try_claim(kind, fp), Claim::Busy);
+        peer.abandon();
+        let torn = backend.load(&lease).expect("torn lease file exists");
+        assert!(
+            torn.len() < 20,
+            "{name}: file must actually be torn: {torn:?}"
+        );
 
-    // Fresh + torn: conservatively a live peer — no spurious takeover.
-    let rival = LeaseManager::new(store.clone(), "rival", ttl);
-    assert_eq!(rival.try_claim(kind, fp), Claim::Busy);
-    assert!(
-        rival.peer_holds(kind, fp),
-        "fresh torn lease reads as held (scheduling stays conservative)"
-    );
-    // Stale + torn: the mtime, not the unreadable content, carries the
-    // verdict — taken over at generation 0 + 1.
-    backend.age(&lease, ttl * 2);
-    assert_eq!(
-        rival.try_claim(kind, fp),
-        Claim::Acquired {
-            generation: 1,
-            takeover: true
-        }
-    );
-    assert!(rival.release(kind, fp));
-    drop(rival);
+        // Fresh + torn: conservatively a live peer — no spurious takeover.
+        let rival = LeaseManager::new(store.clone(), "rival", ttl);
+        assert_eq!(rival.try_claim(kind, fp), Claim::Busy);
+        assert!(
+            rival.peer_holds(kind, fp),
+            "{name}: fresh torn lease reads as held (scheduling stays conservative)"
+        );
+        // Stale + torn: the mtime, not the unreadable content, carries the
+        // verdict — taken over at generation 0 + 1.
+        backend.age(&lease, ttl * 2);
+        assert_eq!(
+            rival.try_claim(kind, fp),
+            Claim::Acquired {
+                generation: 1,
+                takeover: true
+            },
+            "{name}"
+        );
+        assert!(rival.release(kind, fp));
+        drop(rival);
 
-    run_survivors(&dir, &backend, 3, ttl, &reference, "torn-claim");
-    assert_single_execution(&dir, "torn-claim");
-    assert_no_wedged_protocol_files(&backend, "torn-claim");
-    let _ = std::fs::remove_dir_all(&dir);
+        run_survivors(dir, &backend, 3, ttl, &reference, &name);
+        assert_single_execution(dir, &name);
+        assert_no_wedged_protocol_files(&*backend, dir, &name);
+    }
+    on_each_substrate("fault-matrix-torn-claim", scenario, scenario);
 }
 
 /// Crash window: the *owner's own heartbeat* observes a torn read of
@@ -374,258 +384,203 @@ fn torn_lease_files_never_decide_ownership() {
 /// keeps the lease and the next beat re-judges it.
 #[test]
 fn torn_heartbeat_read_does_not_abandon_a_live_lease() {
-    let dir = tmp_dir("torn-heartbeat");
-    let backend = Arc::new(FaultBackend::new());
-    let ttl = Duration::from_secs(30);
+    fn scenario<B: StoreBackend + 'static>(dir: &Path, backend: Arc<Faulty<B>>) {
+        let name = format!("torn-heartbeat/{}", backend.name());
+        let ttl = Duration::from_secs(30);
 
-    let (store, owner, kind, fp, _lease) = victim_setup(&dir, &backend, ttl);
-    assert!(matches!(owner.try_claim(kind, fp), Claim::Acquired { .. }));
+        let (store, owner, kind, fp, _lease) = victim_setup(dir, &backend, ttl);
+        assert!(matches!(owner.try_claim(kind, fp), Claim::Acquired { .. }));
 
-    // One torn read, one transient error, then clean again.
-    backend.inject(FaultRule::on(FaultOp::Load, ".lease", Fault::TornRead(7)));
-    backend.inject(FaultRule::on(FaultOp::Load, ".lease", Fault::Transient).after(1));
-    owner.force_heartbeat(); // torn observation
-    owner.force_heartbeat(); // transient error
-    assert_eq!(
-        owner.held(),
-        1,
-        "torn/transient reads must not drop the lease"
-    );
-    assert_eq!(owner.stats().lost, 0);
-    owner.force_heartbeat(); // clean: refreshes
-    assert_eq!(owner.held(), 1);
+        // One torn read, one transient error, then clean again.
+        backend.inject(FaultRule::on(FaultOp::Load, ".lease", Fault::TornRead(7)));
+        backend.inject(FaultRule::on(FaultOp::Load, ".lease", Fault::Transient).after(1));
+        owner.force_heartbeat(); // torn observation
+        owner.force_heartbeat(); // transient error
+        assert_eq!(
+            owner.held(),
+            1,
+            "{name}: torn/transient reads must not drop the lease"
+        );
+        assert_eq!(owner.stats().lost, 0);
+        owner.force_heartbeat(); // clean: refreshes
+        assert_eq!(owner.held(), 1);
 
-    // A rival still sees a fresh, held lease — no spurious takeover.
-    let rival = LeaseManager::new(store.clone(), "rival", ttl);
-    assert_eq!(rival.try_claim(kind, fp), Claim::Busy);
-    assert_eq!(rival.stats().takeovers, 0);
+        // A rival still sees a fresh, held lease — no spurious takeover.
+        let rival = LeaseManager::new(store.clone(), "rival", ttl);
+        assert_eq!(rival.try_claim(kind, fp), Claim::Busy);
+        assert_eq!(rival.stats().takeovers, 0);
 
-    // An *intact foreign* observation still means usurped: that path
-    // must not have been loosened by torn-tolerance.
-    backend.insert_raw(
-        &owner.lease_path(kind, fp),
-        b"gnnunlock-lease owner=usurper pid=9 gen=7\n",
-    );
-    owner.force_heartbeat();
-    assert_eq!(owner.held(), 0, "intact foreign content is a real loss");
-    assert_eq!(owner.stats().lost, 1);
-    let _ = std::fs::remove_dir_all(&dir);
+        // An *intact foreign* observation still means usurped: that path
+        // must not have been loosened by torn-tolerance.
+        backend
+            .publish(
+                &owner.lease_path(kind, fp),
+                b"gnnunlock-lease owner=usurper pid=9 gen=7\n",
+            )
+            .unwrap();
+        owner.force_heartbeat();
+        assert_eq!(
+            owner.held(),
+            0,
+            "{name}: intact foreign content is a real loss"
+        );
+        assert_eq!(owner.stats().lost, 1);
+    }
+    on_each_substrate("fault-matrix-torn-heartbeat", scenario, scenario);
 }
 
 /// Seeded soak: N pseudo-random schedules of *recoverable* faults
-/// (transient errors, delayed visibility, torn reads) thrown at full
-/// sharded runs. Recoverable faults may cost duplicate work — a shard
-/// that transiently cannot see a peer's entry legitimately re-executes
-/// the job — but must never change the report or fail the campaign.
+/// (transient errors, delayed visibility, torn and slow reads, latency
+/// spikes, short outages) thrown at full sharded runs on each
+/// substrate. Recoverable faults may cost duplicate work — a shard that
+/// transiently cannot see a peer's entry legitimately re-executes the
+/// job — but must never change the report or fail the campaign.
 /// `GNNUNLOCK_FAULT_SOAK_SEEDS` (default 6) widens the sweep in CI; a
 /// failure names its seed so the exact schedule reproduces.
 #[test]
 fn recoverable_fault_soak_never_diverges_the_report() {
-    let reference = reference_report();
-    let seeds: u64 = std::env::var("GNNUNLOCK_FAULT_SOAK_SEEDS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(6);
-    for seed in 1..=seeds {
-        let dir = tmp_dir(&format!("soak-{seed}"));
-        let backend = Arc::new(FaultBackend::with_rules(
-            gnnunlock_engine::recoverable_schedule(seed, 10),
-        ));
+    fn soak<B: StoreBackend + 'static>(seed: u64, dir: &Path, backend: Arc<Faulty<B>>) {
+        let name = format!("soak seed {seed}/{}", backend.name());
+        let reference = reference_report();
+        for rule in recoverable_schedule(seed, 10) {
+            backend.inject(rule);
+        }
         for i in 0..2 {
             let run = toy()
                 .execute_sharded(
                     &Echo,
                     ExecConfig::with_workers(2),
-                    &dir,
+                    dir,
                     &ShardConfig::new(format!("s{i}")).with_backend(backend.clone()),
                 )
-                .unwrap_or_else(|e| panic!("soak seed {seed}: shard s{i} failed: {e}"));
+                .unwrap_or_else(|e| panic!("{name}: shard s{i} failed: {e}"));
             assert!(
                 run.run.outcome.all_succeeded(),
-                "soak seed {seed}: shard s{i} had failed jobs"
+                "{name}: shard s{i} had failed jobs"
             );
             assert_eq!(
                 run.run.report(ReportOptions::default()).to_json(),
                 reference,
-                "soak seed {seed}: shard s{i} diverged from the reference"
+                "{name}: shard s{i} diverged from the reference"
             );
         }
         // No wedged-files assertion here: a visibility fault during
         // release legitimately strands a lease (the owner counts it
         // lost; it ages out via the normal stale path). Reports and
         // success are the soak invariants.
-        let _ = std::fs::remove_dir_all(&dir);
     }
-}
-
-/// Chaos acceptance: a 3-shard campaign over the object-store backend
-/// under a seeded schedule of service-shaped faults — latency spikes,
-/// short unavailability windows, transient errors — must stay
-/// byte-identical to the faultless reference with every job body
-/// executed exactly once. The resilience layer's retries absorb the
-/// whole schedule, and every backoff pause lands on the service's
-/// virtual clock, so the test is timing-free.
-#[test]
-fn object_backend_chaos_schedule_is_byte_identical_and_exactly_once() {
-    let reference = reference_report();
-    let dir = tmp_dir("object-chaos");
-    let backend = Arc::new(ObjectStoreBackend::with_rules([
-        FaultRule::on(FaultOp::Load, ".bin", Fault::Transient),
-        FaultRule::on(FaultOp::Publish, ".bin", Fault::Latency(12)).after(1),
-        FaultRule::on(FaultOp::Claim, ".lease", Fault::Unavailable(2)).after(2),
-        FaultRule::on(FaultOp::Load, ".lease", Fault::Latency(3)).after(4),
-        FaultRule::on(FaultOp::Publish, ".bin", Fault::Unavailable(1)).after(3),
-        FaultRule::on(FaultOp::Load, ".bin", Fault::SlowRead).after(5),
-        FaultRule::on(FaultOp::Load, ".bin", Fault::Transient).after(7),
-    ]));
-
-    run_survivors(
-        &dir,
-        &backend,
-        3,
-        Duration::from_secs(30),
-        &reference,
-        "object-chaos",
-    );
-    assert_single_execution(&dir, "object-chaos");
-    assert!(
-        backend.service().faults_fired() > 0,
-        "the schedule must actually have fired"
-    );
-    assert!(
-        backend.service().virtual_waited() > Duration::ZERO,
-        "backoff must be charged to the virtual clock, not slept"
-    );
-    let wedged: Vec<_> = backend
-        .service()
-        .keys()
-        .into_iter()
-        .filter(|k| {
-            k.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.ends_with(".lease") || n.contains(".tomb-"))
-        })
-        .collect();
-    assert!(wedged.is_empty(), "object-chaos: wedged blobs: {wedged:?}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Degradation acceptance: mid-campaign the object store becomes
-/// unavailable *for good*. The run must fail cleanly — a
-/// `store-degraded` stage error, no panic, no poll-forever — and once
-/// the outage clears, a fresh shard over the same bucket (stranded
-/// leases aged past the TTL, exactly as wall-clock would) converges to
-/// the reference report, proving no lease was left wedged.
-#[test]
-fn sustained_object_outage_fails_cleanly_and_recovers() {
-    let reference = reference_report();
-    let dir = tmp_dir("object-outage");
-    let ttl = Duration::from_millis(200);
-    let backend = Arc::new(ObjectStoreBackend::new());
-    // After a handful of healthy operations the service disappears:
-    // every subsequent gated op times out, forever.
-    backend
-        .service()
-        .inject(FaultRule::on(FaultOp::Load, "", Fault::Unavailable(usize::MAX)).after(12));
-
-    let run = toy()
-        .execute_sharded(
-            &Echo,
-            ExecConfig::with_workers(2),
-            &dir,
-            &ShardConfig::new("s0")
-                .with_ttl(ttl)
-                .with_backend(backend.clone() as Arc<dyn StoreBackend>),
-        )
-        .expect("the outage must fail jobs, not the run itself");
-    assert!(
-        !run.run.outcome.all_succeeded(),
-        "the campaign cannot survive a permanent outage"
-    );
-    let degraded_failures: Vec<_> = run
-        .run
-        .outcome
-        .records
-        .iter()
-        .filter_map(|r| match &r.status {
-            JobStatus::Failed(msg) if msg.contains(DEGRADED_PREFIX) => Some(msg.clone()),
-            _ => None,
-        })
-        .collect();
-    assert!(
-        !degraded_failures.is_empty(),
-        "failures must carry the store-degraded marker: {:?}",
-        run.run
-            .outcome
-            .records
-            .iter()
-            .map(|r| &r.status)
-            .collect::<Vec<_>>()
-    );
-
-    // Recovery: the outage ends. Stranded leases (owners that could not
-    // release through the dead store) age past the TTL — the virtual
-    // stand-in for waiting out one TTL — and a clean shard converges.
-    backend.service().clear_rules();
-    for key in backend.service().keys() {
-        let is_protocol = key
-            .file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(|n| n.ends_with(".lease") || n.contains(".tomb-"));
-        if is_protocol {
-            backend.service().age(&key, ttl * 4);
-        }
-    }
-    let recovery_dir = tmp_dir("object-outage-recovery");
-    run_survivors(
-        &recovery_dir,
-        &backend,
-        1,
-        ttl,
-        &reference,
-        "object-outage-recovery",
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&recovery_dir);
-}
-
-/// Seeded soak over the object-store backend: the same recoverable-
-/// fault schedules as the memory soak — now including the service-
-/// shaped latency/unavailability/slow-read kinds — run against the
-/// conditional-put substrate. `GNNUNLOCK_FAULT_SOAK_SEEDS` widens the
-/// sweep in CI; a failure names its seed.
-#[test]
-fn object_backend_recoverable_soak_never_diverges_the_report() {
-    let reference = reference_report();
     let seeds: u64 = std::env::var("GNNUNLOCK_FAULT_SOAK_SEEDS")
         .ok()
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or(6);
     for seed in 1..=seeds {
-        let dir = tmp_dir(&format!("object-soak-{seed}"));
-        let backend = Arc::new(ObjectStoreBackend::with_rules(
-            gnnunlock_engine::recoverable_schedule(seed, 10),
-        ));
-        for i in 0..2 {
-            let run = toy()
-                .execute_sharded(
-                    &Echo,
-                    ExecConfig::with_workers(2),
-                    &dir,
-                    &ShardConfig::new(format!("s{i}"))
-                        .with_backend(backend.clone() as Arc<dyn StoreBackend>),
-                )
-                .unwrap_or_else(|e| panic!("object soak seed {seed}: shard s{i} failed: {e}"));
-            assert!(
-                run.run.outcome.all_succeeded(),
-                "object soak seed {seed}: shard s{i} had failed jobs"
-            );
-            assert_eq!(
-                run.run.report(ReportOptions::default()).to_json(),
-                reference,
-                "object soak seed {seed}: shard s{i} diverged from the reference"
-            );
-        }
-        let _ = std::fs::remove_dir_all(&dir);
+        on_each_substrate(
+            &format!("fault-matrix-soak-{seed}"),
+            |dir, backend| soak(seed, dir, backend),
+            |dir, backend| soak(seed, dir, backend),
+        );
     }
+}
+
+/// Chaos acceptance: a 3-shard campaign under a fixed schedule of
+/// service-shaped faults — latency spikes, short unavailability
+/// windows, transient errors — must stay byte-identical to the
+/// faultless reference with every job body executed exactly once, on
+/// each substrate. The resilience layer's retries absorb the whole
+/// schedule, and every backoff pause lands on the decorator's virtual
+/// clock, so the test is timing-free.
+#[test]
+fn service_chaos_schedule_is_byte_identical_and_exactly_once() {
+    fn scenario<B: StoreBackend + 'static>(dir: &Path, backend: Arc<Faulty<B>>) {
+        let name = format!("chaos/{}", backend.name());
+        let reference = reference_report();
+        for rule in [
+            FaultRule::on(FaultOp::Load, ".bin", Fault::Transient),
+            FaultRule::on(FaultOp::Publish, ".bin", Fault::Latency(12)).after(1),
+            FaultRule::on(FaultOp::Claim, ".lease", Fault::Unavailable(2)).after(2),
+            FaultRule::on(FaultOp::Load, ".lease", Fault::Latency(3)).after(4),
+            FaultRule::on(FaultOp::Publish, ".bin", Fault::Unavailable(1)).after(3),
+            FaultRule::on(FaultOp::Load, ".bin", Fault::SlowRead).after(5),
+            FaultRule::on(FaultOp::Load, ".bin", Fault::Transient).after(7),
+        ] {
+            backend.inject(rule);
+        }
+
+        run_survivors(dir, &backend, 3, Duration::from_secs(30), &reference, &name);
+        assert_single_execution(dir, &name);
+        assert!(
+            backend.faults_fired() > 0,
+            "{name}: the schedule must actually have fired"
+        );
+        assert!(
+            backend.virtual_waited() > Duration::ZERO,
+            "{name}: backoff must be charged to the virtual clock, not slept"
+        );
+        assert_no_wedged_protocol_files(&*backend, dir, &name);
+    }
+    on_each_substrate("fault-matrix-chaos", scenario, scenario);
+}
+
+/// Degradation acceptance: mid-campaign the store becomes unavailable
+/// *for good*. The run must fail cleanly — a `store-degraded` stage
+/// error, no panic, no poll-forever — and once the outage clears, a
+/// fresh shard over the same backend (stranded leases aged past the
+/// TTL, exactly as wall-clock would) converges to the reference report.
+#[test]
+fn sustained_store_outage_fails_cleanly_and_recovers() {
+    fn scenario<B: StoreBackend + 'static>(dir: &Path, backend: Arc<Faulty<B>>) {
+        let name = format!("outage/{}", backend.name());
+        let reference = reference_report();
+        let ttl = Duration::from_millis(200);
+        // After a handful of healthy operations the store disappears:
+        // every subsequent gated op times out, forever.
+        backend.inject(FaultRule::on(FaultOp::Load, "", Fault::Unavailable(usize::MAX)).after(12));
+
+        let run = toy()
+            .execute_sharded(
+                &Echo,
+                ExecConfig::with_workers(2),
+                dir,
+                &ShardConfig::new("s0")
+                    .with_ttl(ttl)
+                    .with_backend(backend.clone()),
+            )
+            .expect("the outage must fail jobs, not the run itself");
+        assert!(
+            !run.run.outcome.all_succeeded(),
+            "{name}: the campaign cannot survive a permanent outage"
+        );
+        let degraded_failures: Vec<_> = run
+            .run
+            .outcome
+            .records
+            .iter()
+            .filter_map(|r| match &r.status {
+                JobStatus::Failed(msg) if msg.contains(DEGRADED_PREFIX) => Some(msg.clone()),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            !degraded_failures.is_empty(),
+            "{name}: failures must carry the store-degraded marker: {:?}",
+            run.run
+                .outcome
+                .records
+                .iter()
+                .map(|r| &r.status)
+                .collect::<Vec<_>>()
+        );
+
+        // Recovery: the outage ends. Stranded leases (owners that could
+        // not release through the dead store) age past the TTL — the
+        // virtual stand-in for waiting out one TTL — and a clean shard
+        // converges.
+        backend.clear_rules();
+        for path in paths_named(&*backend, dir, is_lease_or_tomb) {
+            backend.age(&path, ttl * 4);
+        }
+        let recovery_dir = TempDir::new("fault-matrix-outage-recovery");
+        run_survivors(&recovery_dir, &backend, 1, ttl, &reference, &name);
+    }
+    on_each_substrate("fault-matrix-outage", scenario, scenario);
 }

@@ -2,6 +2,7 @@
 //! event-log round trips, store path sanitization, and shard-log
 //! merging.
 
+use gnnunlock_engine::testing::TempDir;
 use gnnunlock_engine::{
     fingerprint, fingerprint_fields, merge_shard_events, sanitize_tag, shard_events_file,
     DiskStore, Event, EventLog, JobKind, StageJob,
@@ -133,12 +134,7 @@ proptest! {
         counts in prop::collection::vec(1usize..6, 3..4),
         schedule in prop::collection::vec(0usize..3, 0..32),
     ) {
-        let dir = std::env::temp_dir().join(format!(
-            "gnnunlock-proptest-merge-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("proptest-merge");
 
         // Per-shard streams with provenance-tagged labels.
         let queues: Vec<Vec<Event>> = (0..shard_count)
@@ -190,7 +186,6 @@ proptest! {
         let second = std::fs::read_to_string(&again).unwrap();
         prop_assert_eq!(&first, &second);
 
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Store paths never escape the cache directory, whatever bytes a
@@ -252,8 +247,7 @@ fn fingerprint_constants_are_pinned() {
 /// payloads (deterministic sweep, not a proptest: file I/O per case).
 #[test]
 fn store_round_trips_binary_payloads() {
-    let dir = std::env::temp_dir().join(format!("gnnunlock-proptest-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("proptest-store");
     let store = DiskStore::open(&dir).unwrap();
     for (i, payload) in [
         Vec::new(),
@@ -275,5 +269,4 @@ fn store_round_trips_binary_payloads() {
         );
     }
     assert_eq!(store.stats().evictions, 0);
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,23 +5,14 @@
 //! threads is undefined behavior on glibc. One test function, so there
 //! are no sibling threads.
 
+use gnnunlock::engine::testing::TempDir;
 use gnnunlock::engine::{
     cache_budget_from_env, Campaign, CampaignRunner, DiskStore, JobCtx, JobKind, JobOutput,
     JobValue, StageJob, ValueCodec, CACHE_BUDGET_ENV,
 };
 use gnnunlock::prelude::*;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, SystemTime};
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "gnnunlock-cache-budget-{tag}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 struct ToyCodec;
 
@@ -58,7 +49,7 @@ impl CampaignRunner for SaltedToy {
 #[test]
 fn cache_budget_env_knob_drives_lru_gc() {
     // ---- the knob itself, against a raw store ----
-    let dir = tmp_dir("raw");
+    let dir = TempDir::new("cache-budget-raw");
     let old = DiskStore::open(&dir).unwrap();
     for fp in 0..4u64 {
         old.save(JobKind::Lock, fp, &[1u8; 32]).unwrap();
@@ -87,10 +78,9 @@ fn cache_budget_env_knob_drives_lru_gc() {
         assert!(store.load(JobKind::Lock, fp).is_none());
     }
     std::env::remove_var(CACHE_BUDGET_ENV);
-    let _ = std::fs::remove_dir_all(&dir);
 
     // ---- end to end: the sweep runs after each persistent campaign ----
-    let dir = tmp_dir("campaign");
+    let dir = TempDir::new("cache-budget-campaign");
     let campaign = |name: &str| {
         Campaign::builder(name)
             .scheme("antisat")
@@ -127,5 +117,4 @@ fn cache_budget_env_knob_drives_lru_gc() {
         .execute_persistent(&SaltedToy(2), ExecConfig::with_workers(2), &dir)
         .unwrap();
     assert_eq!(warm.outcome.stats.disk_hits, warm.outcome.stats.total);
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -14,20 +14,14 @@
 //! 5. a second tenant submitting the identical campaign gets its own
 //!    namespaced store entries, counted against its own usage.
 
+use gnnunlock::engine::testing::TempDir;
 use gnnunlock::engine::{tenant_usage, Event, Json};
 use gnnunlock::gnn::{SaintConfig, TrainConfig};
 use gnnunlock::prelude::*;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
 use std::str::FromStr as _;
 use std::time::{Duration, Instant};
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gnnunlock-daemon-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// The tiny real campaign (mirrors tests/sharded.rs's `real_cfgs`), as
 /// a client would submit it.
@@ -113,7 +107,7 @@ fn wait_done(addr: SocketAddr, id: &str) -> Instant {
 /// status (a failed run must not be announced as done).
 #[test]
 fn daemon_guards_ids_buffers_and_prior_life_status() {
-    let root = tmp_dir("guards");
+    let root = TempDir::new("daemon-guards");
     // A prior daemon life left a failed campaign behind: event log,
     // report (written for failures too) and the status marker.
     let failed_id = "00000000deadbeef";
@@ -125,7 +119,7 @@ fn daemon_guards_ids_buffers_and_prior_life_status() {
     // A juicy traversal target one level above the campaigns dir.
     std::fs::write(root.join("report.json"), "secret\n").unwrap();
 
-    let daemon = Daemon::start(DaemonConfig::new(&root)).unwrap();
+    let daemon = Daemon::start(DaemonConfig::new(root.to_path_buf())).unwrap();
     let addr = daemon.addr();
 
     // Path-traversal probes: rejected before any filesystem join, for
@@ -198,14 +192,13 @@ fn daemon_guards_ids_buffers_and_prior_life_status() {
     let doc = request(addr, r#"{"op":"shutdown"}"#);
     assert!(is_ok(&doc), "{doc:?}");
     daemon.wait();
-    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
 fn daemon_serves_submits_streams_and_dedups() {
-    let root = tmp_dir("service");
-    let ref_dir = tmp_dir("service-ref");
-    let daemon = Daemon::start(DaemonConfig::new(&root).with_workers(2)).unwrap();
+    let root = TempDir::new("daemon-service");
+    let ref_dir = TempDir::new("daemon-service-ref");
+    let daemon = Daemon::start(DaemonConfig::new(root.to_path_buf()).with_workers(2)).unwrap();
     let addr = daemon.addr();
 
     // --- 1. Submit over TCP. The id is the submission's content
@@ -470,7 +463,4 @@ fn daemon_serves_submits_streams_and_dedups() {
     let doc = request(addr, r#"{"op":"shutdown"}"#);
     assert!(is_ok(&doc), "{doc:?}");
     daemon.wait();
-
-    let _ = std::fs::remove_dir_all(&root);
-    let _ = std::fs::remove_dir_all(&ref_dir);
 }

@@ -8,11 +8,11 @@
 //! threads.
 
 use gnnunlock::engine::{
-    apply_telemetry_env, cache_budget_from_env, default_workers, knob_warnings,
+    apply_telemetry_env, backend_from_env, cache_budget_from_env, default_workers, knob_warnings,
     telemetry_enabled_from_env, trace_out_from_env, JobGraph, JobKind, JobValue, ShardConfig,
 };
 use gnnunlock::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -159,6 +159,18 @@ fn malformed_knobs_warn_and_fall_back() {
     assert_eq!(breaker.probe_every(), 2);
     std::env::remove_var("GNNUNLOCK_STORE_BREAKER_THRESHOLD");
     std::env::remove_var("GNNUNLOCK_STORE_BREAKER_PROBE_EVERY");
+
+    // --- store backend: `local` and `object` are the two substrates;
+    // the retired `memory` value warns and falls back to `local`.
+    let root = Path::new("/virtual/knob-validation");
+    let warnings_before = knob_warnings();
+    std::env::set_var("GNNUNLOCK_STORE_BACKEND", "memory");
+    assert_eq!(backend_from_env(root).name(), "local");
+    assert_eq!(knob_warnings(), warnings_before + 1, "`memory` must warn");
+    std::env::set_var("GNNUNLOCK_STORE_BACKEND", "object");
+    assert_eq!(backend_from_env(root).name(), "object");
+    std::env::remove_var("GNNUNLOCK_STORE_BACKEND");
+    assert_eq!(backend_from_env(root).name(), "local");
 
     // --- trace output override: a plain path pass-through.
     std::env::remove_var("GNNUNLOCK_TRACE_OUT");

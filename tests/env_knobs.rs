@@ -4,28 +4,17 @@
 //! concurrent setenv/getenv from sibling test threads is undefined
 //! behavior on glibc. Here there are no sibling threads.
 
+use gnnunlock::engine::testing::TempDir;
 use gnnunlock::engine::{EventLog, JobValue};
 use gnnunlock::prelude::*;
-use std::path::PathBuf;
 use std::sync::Arc;
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "gnnunlock-persistence-{tag}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 #[test]
 fn env_knobs_build_a_persistent_executor() {
-    let dir = tmp_dir("env-cache");
-    let events = std::env::temp_dir().join(format!(
-        "gnnunlock-persistence-env-events-{}.jsonl",
-        std::process::id()
-    ));
-    std::env::set_var("GNNUNLOCK_CACHE_DIR", &dir);
+    let dir = TempDir::new("env-knobs-env-cache");
+    let events_dir = TempDir::new("env-knobs-events");
+    let events = events_dir.join("events.jsonl");
+    std::env::set_var("GNNUNLOCK_CACHE_DIR", dir.as_os_str());
     std::env::set_var("GNNUNLOCK_EVENTS", &events);
 
     // A dataset-summary job — covered by the real PipelineCodec.
@@ -75,6 +64,4 @@ fn env_knobs_build_a_persistent_executor() {
 
     std::env::remove_var("GNNUNLOCK_CACHE_DIR");
     std::env::remove_var("GNNUNLOCK_EVENTS");
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_file(&events);
 }

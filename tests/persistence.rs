@@ -5,6 +5,7 @@
 //! byte-identical default report whether it is computed cold, served
 //! warm from a shared cache directory, or killed mid-run and resumed.**
 
+use gnnunlock::engine::testing::TempDir;
 use gnnunlock::engine::{
     Campaign, CampaignRunner, EventLog, JobCtx, JobOutput, JobValue, StageJob, ValueCodec,
     EVENTS_FILE,
@@ -14,15 +15,6 @@ use gnnunlock::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "gnnunlock-persistence-{tag}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 // ---------------------------------------------------------------------
 // Toy campaign: echo-style string stages with a string codec. Fast, and
@@ -99,7 +91,7 @@ fn toy_campaign() -> Campaign {
 
 #[test]
 fn cold_warm_and_plain_reports_are_byte_identical() {
-    let dir = tmp_dir("cold-warm");
+    let dir = TempDir::new("persistence-cold-warm");
     let campaign = toy_campaign();
 
     // Reference: a plain in-memory run.
@@ -127,13 +119,12 @@ fn cold_warm_and_plain_reports_are_byte_identical() {
             .to_json()
     };
     assert_ne!(prov(&cold), prov(&warm));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn killed_campaign_resumes_to_identical_report() {
-    let uninterrupted_dir = tmp_dir("kill-ref");
-    let interrupted_dir = tmp_dir("kill-resume");
+    let uninterrupted_dir = TempDir::new("persistence-kill-ref");
+    let interrupted_dir = TempDir::new("persistence-kill-resume");
     let campaign = toy_campaign();
     let total = campaign.plan().len();
 
@@ -189,13 +180,11 @@ fn killed_campaign_resumes_to_identical_report() {
         })
         .collect();
     assert_eq!(resumed_flags, vec![false, true]);
-    let _ = std::fs::remove_dir_all(&uninterrupted_dir);
-    let _ = std::fs::remove_dir_all(&interrupted_dir);
 }
 
 #[test]
 fn corrupted_cache_entries_are_evicted_and_recomputed() {
-    let dir = tmp_dir("corruption");
+    let dir = TempDir::new("persistence-corruption");
     let campaign = toy_campaign();
     let total = campaign.plan().len();
 
@@ -229,7 +218,6 @@ fn corrupted_cache_entries_are_evicted_and_recomputed() {
         .execute_persistent(&ToyRunner, ExecConfig::with_workers(2), &dir)
         .unwrap();
     assert_eq!(again.outcome.stats.disk_hits, total);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn walk_bins(dir: &std::path::Path) -> Vec<PathBuf> {
@@ -262,7 +250,7 @@ fn job_panics_surface_in_the_event_log_with_their_id() {
         }
     }
 
-    let dir = tmp_dir("panics");
+    let dir = TempDir::new("persistence-panics");
     let campaign = toy_campaign();
     let run = campaign
         .execute_persistent(&PanicOn, ExecConfig::with_workers(2), &dir)
@@ -289,7 +277,6 @@ fn job_panics_surface_in_the_event_log_with_their_id() {
         error.contains("job panicked") && error.contains("training diverged"),
         "{error}"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------
@@ -326,7 +313,7 @@ fn real_cfgs() -> (DatasetConfig, AttackConfig) {
 /// assertion: ≥ 90% disk hits on the re-run.
 #[test]
 fn warm_real_campaign_is_mostly_disk_hits() {
-    let dir = tmp_dir("warm-smoke");
+    let dir = TempDir::new("persistence-warm-smoke");
     let (ds, attack) = real_cfgs();
 
     let cold =
@@ -357,7 +344,6 @@ fn warm_real_campaign_is_mostly_disk_hits() {
             summary.kind
         );
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Kill a real campaign mid-training (after two of the four per-target
@@ -367,8 +353,8 @@ fn warm_real_campaign_is_mostly_disk_hits() {
 /// uninterrupted run's.
 #[test]
 fn kill_mid_training_resumes_from_epoch_checkpoint() {
-    let reference_dir = tmp_dir("midtrain-ref");
-    let killed_dir = tmp_dir("midtrain-kill");
+    let reference_dir = TempDir::new("persistence-midtrain-ref");
+    let killed_dir = TempDir::new("persistence-midtrain-kill");
     let (ds, mut attack) = real_cfgs();
     // 40 epochs in blocks of 10: four train-epoch links per target.
     attack.checkpoint_epochs = 10;
@@ -485,13 +471,11 @@ fn kill_mid_training_resumes_from_epoch_checkpoint() {
         assert_eq!(a.removal_success_rate(), b.removal_success_rate());
         assert_eq!(a.train_report.history, b.train_report.history);
     }
-    let _ = std::fs::remove_dir_all(&reference_dir);
-    let _ = std::fs::remove_dir_all(&killed_dir);
 }
 
 #[test]
 fn real_campaign_cold_warm_resume_byte_identical() {
-    let dir = tmp_dir("real");
+    let dir = TempDir::new("persistence-real");
     let (ds, attack) = real_cfgs();
 
     // Cold persistent run == plain in-memory run, byte for byte.
@@ -535,5 +519,4 @@ fn real_campaign_cold_warm_resume_byte_identical() {
         resumed.run.report(ReportOptions::default()).to_json(),
         reference
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }

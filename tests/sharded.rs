@@ -9,6 +9,7 @@
 //! directory renders the same report as a single-process run, with no
 //! job body completed on more than one shard.
 
+use gnnunlock::engine::testing::TempDir;
 use gnnunlock::engine::{
     execution_counts, shard_replays, Campaign, CampaignRunner, Event, EventLog, JobCtx, JobOutput,
     JobValue, StageJob, ValueCodec,
@@ -18,12 +19,6 @@ use gnnunlock::prelude::*;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gnnunlock-sharded-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 // ---------------------------------------------------------------------
 // Toy campaign: echo-string stages, every value persistable, plus an
@@ -89,7 +84,7 @@ fn toy_campaign() -> Campaign {
 
 #[test]
 fn three_shards_split_one_campaign_without_double_work() {
-    let dir = tmp_dir("threads");
+    let dir = TempDir::new("sharded-threads");
     let campaign = toy_campaign();
 
     // Reference: plain in-memory run (byte-identity across *modes* is
@@ -149,12 +144,11 @@ fn three_shards_split_one_campaign_without_double_work() {
     let counts = execution_counts(&replays);
     assert_eq!(counts.len(), campaign.plan().len(), "{counts:?}");
     assert!(counts.values().all(|&n| n == 1), "{counts:?}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn probe_ahead_elides_interior_stages_nobody_needs() {
-    let dir = tmp_dir("probe-ahead");
+    let dir = TempDir::new("sharded-probe-ahead");
     let campaign = toy_campaign();
     let runner = ToyRunner::plain();
 
@@ -231,7 +225,6 @@ fn probe_ahead_elides_interior_stages_nobody_needs() {
         sharded.run.report(ReportOptions::default()).to_json(),
         reference_report
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------
@@ -245,9 +238,10 @@ fn probe_ahead_elides_interior_stages_nobody_needs() {
 // smoke check that the `LocalDirBackend` primitives behave under actual
 // process death. The exhaustive crash/takeover matrix (every crash
 // window, torn writes, delayed visibility, seeded fault soak) lives in
-// `crates/engine/tests/fault_matrix.rs` on the deterministic in-memory
-// `FaultBackend`, where it needs no TTL waits, kill timing, or child
-// processes.
+// `crates/engine/tests/fault_matrix.rs`, through the deterministic
+// `testing::Faulty` decorator over this same `LocalDirBackend` (and
+// over the object map), where it needs no TTL waits, kill timing, or
+// child processes.
 // ---------------------------------------------------------------------
 
 const STALL_DIR_ENV: &str = "GNNUNLOCK_TEST_STALL_DIR";
@@ -282,9 +276,8 @@ fn toy_stall_worker_entry() {
 
 #[test]
 fn sigkill_mid_job_is_taken_over_and_completed() {
-    let ref_dir = tmp_dir("sigkill-ref");
-    let dir = tmp_dir("sigkill");
-    std::fs::create_dir_all(&dir).unwrap();
+    let ref_dir = TempDir::new("sharded-sigkill-ref");
+    let dir = TempDir::new("sharded-sigkill");
     let campaign = toy_campaign();
     let stall = "dataset/antisat";
 
@@ -298,7 +291,7 @@ fn sigkill_mid_job_is_taken_over_and_completed() {
     let exe = std::env::current_exe().unwrap();
     let mut victim = std::process::Command::new(&exe)
         .args(["toy_stall_worker_entry", "--exact", "--nocapture"])
-        .env(STALL_DIR_ENV, &dir)
+        .env(STALL_DIR_ENV, dir.as_os_str())
         .env(STALL_LABEL_ENV, stall)
         .env(STALL_SHARD_ENV, "victim")
         .stdout(std::process::Stdio::null())
@@ -377,9 +370,6 @@ fn sigkill_mid_job_is_taken_over_and_completed() {
     assert!(counts.values().all(|&n| n <= 1), "{counts:?}");
     assert_eq!(counts.get(stall), Some(&1), "{counts:?}");
     assert_eq!(counts.len(), campaign.plan().len());
-
-    let _ = std::fs::remove_dir_all(&ref_dir);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------
@@ -456,9 +446,8 @@ fn real_shard_worker_entry() {
 
 #[test]
 fn three_process_real_campaign_is_byte_identical() {
-    let ref_dir = tmp_dir("real-ref");
-    let dir = tmp_dir("real");
-    std::fs::create_dir_all(&dir).unwrap();
+    let ref_dir = TempDir::new("sharded-real-ref");
+    let dir = TempDir::new("sharded-real");
     let (ds, attack) = real_cfgs();
 
     // Single-process reference.
@@ -479,7 +468,7 @@ fn three_process_real_campaign_is_byte_identical() {
         .map(|i| {
             std::process::Command::new(&exe)
                 .args(["real_shard_worker_entry", "--exact", "--nocapture"])
-                .env(REAL_DIR_ENV, &dir)
+                .env(REAL_DIR_ENV, dir.as_os_str())
                 .env(REAL_SHARD_ENV, format!("w{i}"))
                 .stdout(std::process::Stdio::null())
                 .spawn()
@@ -512,7 +501,4 @@ fn three_process_real_campaign_is_byte_identical() {
     let counts = execution_counts(&replays);
     assert!(counts.values().all(|&n| n == 1), "{counts:?}");
     assert_eq!(counts.len(), campaign.plan().len(), "{counts:?}");
-
-    let _ = std::fs::remove_dir_all(&ref_dir);
-    let _ = std::fs::remove_dir_all(&dir);
 }

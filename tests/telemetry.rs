@@ -10,6 +10,7 @@
 //! - The Prometheus text exposition is pinned by a golden file
 //!   (regenerate with `GNNUNLOCK_UPDATE_GOLDEN=1`).
 
+use gnnunlock::engine::testing::TempDir;
 use gnnunlock::engine::{
     Campaign, CampaignRunner, JobCtx, JobOutput, JobValue, Json, StageJob, ValueCodec,
 };
@@ -19,13 +20,6 @@ use gnnunlock_bench::perf::validate_trace_doc;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("gnnunlock-telemetry-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 // Toy echo campaign (mirrors tests/sharded.rs): every value is a
 // persistable string, so the same campaign runs in-memory, persistent
@@ -120,7 +114,7 @@ fn read_valid_trace(path: &Path) -> usize {
 
 #[test]
 fn persistent_run_writes_a_valid_chrome_trace() {
-    let dir = tmp_dir("persistent");
+    let dir = TempDir::new("telemetry-persistent");
     let campaign = toy_campaign();
     let run = campaign
         .execute_persistent(&ToyRunner, ExecConfig::with_workers(2), &dir)
@@ -131,12 +125,11 @@ fn persistent_run_writes_a_valid_chrome_trace() {
         events >= campaign.plan().len(),
         "a cold run's trace must cover every executed job: {events}"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn three_sharded_workers_each_write_a_valid_trace() {
-    let dir = tmp_dir("sharded");
+    let dir = TempDir::new("telemetry-sharded");
     let campaign = toy_campaign();
     std::thread::scope(|scope| {
         let campaign = &campaign;
@@ -168,7 +161,6 @@ fn three_sharded_workers_each_write_a_valid_trace() {
         total >= campaign.plan().len(),
         "together the shard traces must cover the whole plan: {total}"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // --- Prometheus exposition golden -----------------------------------
