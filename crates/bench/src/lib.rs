@@ -1,4 +1,6 @@
-//! Shared harness utilities for the table-reproduction binaries.
+//! Shared harness utilities for the table-reproduction binaries, and
+//! the trace validator ([`perf::validate_trace_doc`]) that the
+//! repository benchmark (`perfbench/`) checks its traces with.
 //!
 //! Every binary accepts the same environment knobs so the experiments can
 //! be run anywhere on the laptop-scale ↔ paper-scale axis:
@@ -18,8 +20,7 @@
 //! | `GNNUNLOCK_SHARD_ID` | `pid-<pid>` | this worker's shard identity for sharded campaign runs (lease owner + per-shard event log) |
 //! | `GNNUNLOCK_LEASE_TTL_MS` | `30000` | staleness TTL of job leases: a `kill -9`'d shard's jobs are re-claimed by survivors after this long |
 //! | `GNNUNLOCK_STAGE_BUDGET_MS` | unset | per-stage wall-clock budget; over-budget stages are marked in stage summaries (observability only) |
-//! | `GNNUNLOCK_BENCH_OUT` | `.` | directory where `gnnunlock-bench perf` writes its `BENCH_*.json` perf-trajectory files |
-//! | `GNNUNLOCK_TRACE_OUT` | unset | override path for Chrome-trace timelines (per-run `trace.json` / `BENCH_trace.json`) |
+//! | `GNNUNLOCK_TRACE_OUT` | unset | override path for a persistent run's Chrome-trace timeline (default: `trace.json` beside the event log) |
 //! | `GNNUNLOCK_TELEMETRY` | on | set to `off` to disable the metrics registry and span recording process-wide |
 //!
 //! Malformed knob values are never silently ignored: the engine's
@@ -29,7 +30,6 @@ use gnnunlock_core::{AttackConfig, AttackOutcome};
 use gnnunlock_engine::{ExecConfig, Executor};
 use gnnunlock_gnn::{SaintConfig, TrainConfig};
 
-pub mod history;
 pub mod perf;
 
 /// Benchmark scale factor from the environment.

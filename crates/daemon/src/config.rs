@@ -58,10 +58,10 @@ pub struct DaemonConfig {
     /// `report.json` and status marker. Default: 512.
     pub terminal_retained: usize,
     /// Store backend campaign executions and tenant budget sweeps run
-    /// against. `None` (the default) resolves per campaign directory via
-    /// [`gnnunlock_engine::STORE_BACKEND_ENV`] — the local filesystem
-    /// unless overridden. Tests pass a fault-injecting
-    /// [`gnnunlock_engine::testing::Faulty`] backend here.
+    /// against. `None` (the default) is the local filesystem
+    /// ([`gnnunlock_engine::backend_from_env`]). Tests pass a
+    /// fault-injecting [`gnnunlock_engine::testing::Faulty`] backend
+    /// here.
     pub store_backend: Option<Arc<dyn StoreBackend>>,
 }
 
@@ -113,7 +113,7 @@ impl DaemonConfig {
     }
 
     /// Run campaign stores and budget sweeps against an explicit
-    /// backend (overriding [`gnnunlock_engine::STORE_BACKEND_ENV`]).
+    /// backend instead of the local filesystem.
     pub fn with_store_backend(mut self, backend: Arc<dyn StoreBackend>) -> Self {
         self.store_backend = Some(backend);
         self

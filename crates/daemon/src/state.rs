@@ -621,8 +621,9 @@ impl DaemonCore {
 mod tests {
     use super::*;
     use gnnunlock_core::Submission;
-    use gnnunlock_engine::testing::{Fault, FaultOp, FaultRule, Faulty, TempDir};
-    use gnnunlock_engine::ObjectStoreBackend;
+    use gnnunlock_engine::testing::{
+        Fault, FaultOp, FaultRule, Faulty, ObjectStoreBackend, TempDir,
+    };
     use std::str::FromStr as _;
 
     fn sub(tenant: &str, name: &str) -> Submission {

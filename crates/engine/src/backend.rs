@@ -18,15 +18,16 @@
 //!   concurrent renames of one source path, exactly one wins; losers
 //!   fail (the file is gone).
 //!
-//! Two substrates ship: [`LocalDirBackend`] (the production backend —
-//! the original `DiskStore`/`LeaseManager` filesystem code moved behind
-//! the trait, byte-for-byte compatible with stores written before the
-//! trait existed) and [`crate::ObjectStoreBackend`], which discharges
-//! the same obligations over a minimal blob API with no renames and no
-//! hard links: publish is a last-writer-wins put, claim is
-//! `put_if_absent`, and entomb is an ETag-conditional swap (copy to the
-//! tomb key, then delete-if-match on the observed ETag — exactly one
-//! challenger's conditional delete can win).
+//! One substrate ships: [`LocalDirBackend`], the original
+//! `DiskStore`/`LeaseManager` filesystem code moved behind the trait,
+//! byte-for-byte compatible with stores written before the trait
+//! existed. The test support module holds a second one,
+//! [`crate::testing::ObjectStoreBackend`], which discharges the same
+//! obligations over an in-memory blob map with no renames and no hard
+//! links: publish is a last-writer-wins put, claim is `put_if_absent`,
+//! and entomb is an ETag-conditional swap (copy to the tomb key, then
+//! delete-if-match on the observed ETag — exactly one challenger's
+//! conditional delete can win).
 //!
 //! Fault injection is not a backend but a decorator over either one:
 //! [`crate::testing::Faulty`] applies a deterministic, seeded fault
@@ -38,12 +39,10 @@
 //!
 //! Backend selection: explicit (`ShardConfig::with_backend`,
 //! `DaemonConfig::with_store_backend`, `DiskStore::open_with_backend`)
-//! or via [`STORE_BACKEND_ENV`] (`local` — the default — or `object`,
-//! a process-global blob map per store root; CI runs the
-//! backend-agnostic suite under both values). Whatever the selection,
-//! [`crate::DiskStore`] wraps the backend in the [`crate::resilience`]
-//! layer — deterministic retries, a per-backend circuit breaker, and a
-//! publish spill queue.
+//! or [`backend_from_env`], which is always `local`. Whatever the
+//! selection, [`crate::DiskStore`] wraps the backend in the
+//! [`crate::resilience`] layer — deterministic retries, a per-backend
+//! circuit breaker, and a publish spill queue.
 
 use std::fs;
 use std::io::{self, Write as _};
@@ -52,12 +51,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, SystemTime};
 
-/// Environment variable selecting the store backend implementation:
-/// `local` (the default; real directories + atomic renames) or `object`
-/// (a process-global [`crate::ObjectStoreBackend`] per store root — blob
-/// API, conditional-put arbitration, no durability; used by the CI
-/// backend matrix). Malformed values warn via [`crate::env`] and fall
-/// back to `local`.
+/// Environment variable naming the store backend. `local` (real
+/// directories + atomic renames) is its only value; any other value,
+/// the retired `memory` and `object` included, warns via [`crate::env`]
+/// and falls back to `local`.
 pub const STORE_BACKEND_ENV: &str = "GNNUNLOCK_STORE_BACKEND";
 
 /// One file's metadata as reported by [`StoreBackend::list`].
@@ -296,29 +293,20 @@ impl StoreBackend for LocalDirBackend {
     }
 }
 
-/// The backend selected by [`STORE_BACKEND_ENV`] for a store rooted at
-/// `root`: `local`/unset → [`LocalDirBackend`], `object` → the shared
-/// [`crate::object_backend_for`] registry entry. Malformed values warn
-/// (via [`crate::env`]) and fall back to `local`.
-pub fn backend_from_env(root: &Path) -> Arc<dyn StoreBackend> {
-    match crate::env::knob_validated::<String>(STORE_BACKEND_ENV, "\"local\" or \"object\"", |v| {
-        matches!(v.as_str(), "local" | "object")
-    })
-    .as_deref()
-    {
-        Some("object") => crate::object::object_backend_for(root),
-        _ => Arc::new(LocalDirBackend::new()),
-    }
+/// The backend named by [`STORE_BACKEND_ENV`]: a [`LocalDirBackend`].
+/// A value other than `local` warns (via [`crate::env`]) first.
+pub fn backend_from_env() -> Arc<dyn StoreBackend> {
+    crate::env::knob_validated::<String>(STORE_BACKEND_ENV, "\"local\"", |v| v == "local");
+    Arc::new(LocalDirBackend::new())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::object::ObjectStoreBackend;
-    use crate::testing::{Faulty, TempDir};
+    use crate::testing::{Faulty, ObjectStoreBackend, TempDir};
 
-    /// Both shipped substrates, plus the rule-free fault decorator over
-    /// a real directory, each under its own root.
+    /// Both substrates, plus the rule-free fault decorator over a real
+    /// directory, each under its own root.
     fn backends(tag: &str) -> Vec<(Arc<dyn StoreBackend>, TempDir)> {
         vec![
             (

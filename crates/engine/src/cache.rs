@@ -12,11 +12,11 @@
 //! The disk tier inherits its [`crate::StoreBackend`] from the attached
 //! [`DiskStore`]: every persist and disk probe goes through the store's
 //! backend, so a cache built on a [`DiskStore::open_with_backend`]
-//! handle (or under `GNNUNLOCK_STORE_BACKEND=object`) runs entirely
-//! against that backend with no cache-side plumbing — including fault
-//! injection via [`crate::testing::Faulty`], which the cache tolerates
-//! the same way it tolerates real I/O errors: persistence is
-//! best-effort, the memory tier stays authoritative.
+//! handle runs entirely against that backend with no cache-side
+//! plumbing — including fault injection via
+//! [`crate::testing::Faulty`], which the cache tolerates the same way
+//! it tolerates real I/O errors: persistence is best-effort, the
+//! memory tier stays authoritative.
 
 use crate::codec::ValueCodec;
 use crate::graph::{JobKind, JobValue};

@@ -42,17 +42,6 @@ pub fn tenant_from_env() -> Option<String> {
 /// taken over by another shard. Default: 30000 (30 s). Must be ≥ 1.
 pub const LEASE_TTL_ENV: &str = "GNNUNLOCK_LEASE_TTL_MS";
 
-/// Environment variable naming the directory where the perf harness
-/// (`gnnunlock-bench perf`) writes its `BENCH_*.json` trajectory files.
-/// Unset = the current working directory (the repo root when invoked
-/// from a checkout, which is where the perf trajectory lives).
-pub const BENCH_OUT_ENV: &str = "GNNUNLOCK_BENCH_OUT";
-
-/// The bench output directory named by [`BENCH_OUT_ENV`], if set.
-pub fn bench_out_from_env() -> Option<PathBuf> {
-    knob_path(BENCH_OUT_ENV)
-}
-
 /// Environment variable setting the per-stage wall-clock budget in
 /// milliseconds: a stage whose summed execution time exceeds it is
 /// marked `over_budget` in the stage-summary event and the timing

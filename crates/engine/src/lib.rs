@@ -39,7 +39,8 @@
 //! - [`run_ordered`]: order-preserving batch fan-out used by dataset
 //!   generation;
 //! - [`testing`]: test support only — the [`testing::Faulty`] fault
-//!   injector that decorates any [`StoreBackend`], and unique temp dirs.
+//!   injector that decorates any [`StoreBackend`], the in-memory
+//!   [`testing::ObjectStoreBackend`], and unique temp dirs.
 //!
 //! # Examples
 //!
@@ -86,9 +87,9 @@ pub use campaign::{Campaign, CampaignBuilder, CampaignRun, CampaignRunner, Resum
 pub use cancel::CancelToken;
 pub use codec::{ByteReader, ByteWriter, ValueCodec};
 pub use env::{
-    apply_telemetry_env, bench_out_from_env, knob, knob_or, knob_path, knob_validated,
-    knob_warnings, telemetry_enabled_from_env, tenant_from_env, trace_out_from_env, BENCH_OUT_ENV,
-    LEASE_TTL_ENV, SHARD_ID_ENV, STAGE_BUDGET_ENV, TELEMETRY_ENV, TENANT_ENV, TRACE_OUT_ENV,
+    apply_telemetry_env, knob, knob_or, knob_path, knob_validated, knob_warnings,
+    telemetry_enabled_from_env, tenant_from_env, trace_out_from_env, LEASE_TTL_ENV, SHARD_ID_ENV,
+    STAGE_BUDGET_ENV, TELEMETRY_ENV, TENANT_ENV, TRACE_OUT_ENV,
 };
 pub use events::{Event, EventLog, LogTail, Replay, EVENTS_ENV, EVENTS_FILE};
 pub use exec::{
@@ -99,7 +100,6 @@ pub use graph::{
 };
 pub use json::Json;
 pub use lease::{Claim, LeaseManager, LeaseStats};
-pub use object::{object_backend_for, ObjectStoreBackend};
 pub use pool::{default_workers, run_ordered, WORKERS_ENV};
 pub use report::{ReportOptions, RunReport, REPORT_SCHEMA_VERSION};
 pub use resilience::{

@@ -20,15 +20,18 @@
 //!   ETag and exactly one delete can match it; losers clean up their
 //!   tomb copy and fail as if the source were gone.
 //!
-//! The map injects no faults of its own: tests wrap it in
-//! [`crate::testing::Faulty`], the same decorator that injects faults
-//! into [`crate::LocalDirBackend`].
+//! It holds its blobs in process memory, so nothing survives the
+//! process and no other process can share them: it is test support,
+//! exported as [`crate::testing::ObjectStoreBackend`], and no
+//! production path selects it. The map injects no faults of its own:
+//! tests wrap it in [`crate::testing::Faulty`], the same decorator that
+//! injects faults into [`crate::LocalDirBackend`].
 
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::SystemTime;
 
 use crate::backend::{FileMeta, StoreBackend};
@@ -223,25 +226,10 @@ impl StoreBackend for ObjectStoreBackend {
     }
 }
 
-/// The process-global registry behind the `object` value of
-/// [`crate::STORE_BACKEND_ENV`]: every store root maps onto one shared
-/// [`ObjectStoreBackend`], so the N shard handles a test opens on one
-/// root cooperate through one bucket, exactly as N
-/// [`crate::LocalDirBackend`] handles would on one real directory.
-pub fn object_backend_for(root: &Path) -> Arc<ObjectStoreBackend> {
-    static ROOTS: OnceLock<Mutex<BTreeMap<PathBuf, Arc<ObjectStoreBackend>>>> = OnceLock::new();
-    ROOTS
-        .get_or_init(|| Mutex::new(BTreeMap::new()))
-        .lock()
-        .unwrap()
-        .entry(root.to_path_buf())
-        .or_default()
-        .clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use std::time::Duration;
 
     #[test]
@@ -309,16 +297,5 @@ mod tests {
             .filter(|m| m.path.to_string_lossy().contains(".tomb-"))
             .count();
         assert_eq!(tombs, 1, "losers must leave no tomb debris");
-    }
-
-    #[test]
-    fn registry_shares_one_bucket_per_root() {
-        let a = object_backend_for(Path::new("/reg/alpha"));
-        let b = object_backend_for(Path::new("/reg/alpha"));
-        let c = object_backend_for(Path::new("/reg/beta"));
-        assert!(Arc::ptr_eq(&a, &b), "one backend per root");
-        a.publish(Path::new("/reg/alpha/x.bin"), b"shared").unwrap();
-        assert_eq!(b.load(Path::new("/reg/alpha/x.bin")).unwrap(), b"shared");
-        assert!(!c.contains(Path::new("/reg/alpha/x.bin")));
     }
 }

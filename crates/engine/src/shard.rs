@@ -95,10 +95,9 @@ pub struct ShardConfig {
     /// `None` (the default) is the shared default namespace.
     pub namespace: Option<String>,
     /// Store backend this shard executes against. `None` (the default)
-    /// resolves via [`crate::STORE_BACKEND_ENV`] — the local filesystem
-    /// unless overridden. Tests pass a shared
-    /// [`crate::testing::Faulty`] backend here to run whole sharded
-    /// campaigns under injected faults.
+    /// is the local filesystem ([`crate::backend_from_env`]). Tests pass
+    /// a shared [`crate::testing::Faulty`] backend here to run whole
+    /// sharded campaigns under injected faults.
     pub backend: Option<Arc<dyn StoreBackend>>,
 }
 
@@ -148,8 +147,8 @@ impl ShardConfig {
         self
     }
 
-    /// Execute against an explicit store backend (overriding
-    /// [`crate::STORE_BACKEND_ENV`] resolution).
+    /// Execute against an explicit store backend instead of the local
+    /// filesystem.
     pub fn with_backend(mut self, backend: Arc<dyn StoreBackend>) -> Self {
         self.backend = Some(backend);
         self

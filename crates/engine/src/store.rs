@@ -181,9 +181,9 @@ impl DiskStore {
     }
 
     /// Open the store rooted at `dir` on an explicit [`StoreBackend`]
-    /// (bypassing [`crate::STORE_BACKEND_ENV`] selection). `tenant`
-    /// selects a namespace exactly like [`DiskStore::open_namespaced`];
-    /// blank means the default namespace.
+    /// instead of the local filesystem. `tenant` selects a namespace
+    /// exactly like [`DiskStore::open_namespaced`]; blank means the
+    /// default namespace.
     ///
     /// # Errors
     ///
@@ -209,7 +209,7 @@ impl DiskStore {
         // resilience layer: deterministic transient retries, a circuit
         // breaker, and the publish spill queue.
         let backend: Arc<dyn StoreBackend> =
-            ResilientBackend::wrap(backend.unwrap_or_else(|| backend_from_env(dir)));
+            ResilientBackend::wrap(backend.unwrap_or_else(backend_from_env));
         backend.ensure_dir(dir)?;
         let version_path = dir.join(VERSION_FILE);
         // The gate runs under the shared RetryPolicy: a torn observation

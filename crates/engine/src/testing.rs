@@ -1,7 +1,7 @@
 //! Test support shared by the engine's own tests and every crate that
 //! tests against it: the [`Faulty`] fault injector with its [`Fault`]
-//! vocabulary, and unique [`TempDir`]s. No production path uses this
-//! module.
+//! vocabulary, the in-memory [`ObjectStoreBackend`], and unique
+//! [`TempDir`]s. No production path uses this module.
 //!
 //! [`Faulty`] decorates any [`StoreBackend`] — the [`LocalDirBackend`]
 //! a real campaign persists through, or the in-memory
@@ -26,7 +26,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::backend::{FileMeta, LocalDirBackend, StoreBackend};
-use crate::object::ObjectStoreBackend;
+pub use crate::object::ObjectStoreBackend;
 
 /// The operation an injected fault targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

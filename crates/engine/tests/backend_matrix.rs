@@ -2,23 +2,19 @@
 //! must discharge the same protocol obligations — atomic last-writer-
 //! wins publish, exactly-one-winner claim, rename/swap-arbitrated
 //! takeover, and usage accounting that never bills in-flight protocol
-//! blobs. The `conformance_*` tests below run each obligation against
-//! both substrates (`local` directories, the conditional-put `object`
-//! map) and against a rule-free [`Faulty`] over a local directory —
-//! which proves the fault decorator transparent — in one process, so a
-//! contract regression names the offending backend.
-//!
-//! The two env-driven smokes at the bottom additionally run the *same
-//! binary* under each `GNNUNLOCK_STORE_BACKEND` value in CI's backends
-//! matrix, exercising env-selected construction ([`DiskStore::open`],
-//! default [`ShardConfig`]) where the matrix variable is the
-//! environment, not the test code.
+//! blobs. Every test below runs against both substrates (`local`
+//! directories, the conditional-put `object` map) and against a
+//! rule-free [`Faulty`] over a local directory — which proves the fault
+//! decorator transparent — in one process, so a contract regression
+//! names the offending backend. The last two drive whole layers over
+//! each backend: a [`DiskStore`] shared by two handles, and a sharded
+//! campaign run cold then warm.
 
-use gnnunlock_engine::testing::{Faulty, TempDir};
+use gnnunlock_engine::testing::{Faulty, ObjectStoreBackend, TempDir};
 use gnnunlock_engine::{
     execution_counts, shard_replays, tenant_usage_with, Campaign, CampaignRunner, DiskStore,
-    ExecConfig, JobCtx, JobKind, JobOutput, JobValue, LocalDirBackend, ObjectStoreBackend,
-    ReportOptions, ShardConfig, StageJob, StoreBackend, ValueCodec,
+    ExecConfig, JobCtx, JobKind, JobOutput, JobValue, LocalDirBackend, ReportOptions, ShardConfig,
+    StageJob, StoreBackend, ValueCodec,
 };
 use std::sync::Arc;
 
@@ -225,64 +221,59 @@ fn conformance_usage_accounting_excludes_in_flight_protocol_blobs() {
     }
 }
 
+/// A store round-trips an entry on every backend, and a second handle
+/// on the same root sees it — the cross-process story every backend
+/// must support.
 #[test]
-fn disk_store_round_trips_on_the_selected_backend() {
-    let dir = TempDir::new("backend-matrix-store");
-    let store = DiskStore::open(&dir).unwrap();
-    assert!(!store.contains(JobKind::Train, 0xfeed));
-    store
-        .save(JobKind::Train, 0xfeed, b"round trip payload")
-        .unwrap();
-    assert!(store.contains(JobKind::Train, 0xfeed));
-    assert_eq!(
-        store.load(JobKind::Train, 0xfeed).as_deref(),
-        Some(&b"round trip payload"[..]),
-        "backend {}",
-        store.backend().name()
-    );
-    assert!(store.usage_bytes() > 0);
-    // A second handle on the same root shares the entries — the
-    // cross-process story every backend must support.
-    let peer = DiskStore::open(&dir).unwrap();
-    assert!(peer.contains(JobKind::Train, 0xfeed));
+fn disk_store_round_trips_on_every_backend() {
+    for (name, backend, root) in conformance_backends("store") {
+        let store = DiskStore::open_with_backend(&root, "", backend.clone()).unwrap();
+        assert!(!store.contains(JobKind::Train, 0xfeed), "{name}");
+        store
+            .save(JobKind::Train, 0xfeed, b"round trip payload")
+            .unwrap();
+        assert!(store.contains(JobKind::Train, 0xfeed), "{name}");
+        assert_eq!(
+            store.load(JobKind::Train, 0xfeed).as_deref(),
+            Some(&b"round trip payload"[..]),
+            "{name}"
+        );
+        assert!(store.usage_bytes() > 0, "{name}");
+        let peer = DiskStore::open_with_backend(&root, "", backend).unwrap();
+        assert!(peer.contains(JobKind::Train, 0xfeed), "{name}");
+    }
 }
 
+/// A sharded campaign completes on every backend, a second shard
+/// renders the same report from the stored results, and no job body
+/// runs twice.
 #[test]
-fn sharded_toy_campaign_completes_on_the_selected_backend() {
-    let dir = TempDir::new("backend-matrix-sharded");
+fn sharded_toy_campaign_completes_on_every_backend() {
     let campaign = Campaign::builder("backend-matrix")
         .scheme("antisat")
         .benchmarks(["c1", "c2"])
         .key_sizes([8])
         .build();
+    for (name, backend, root) in conformance_backends("sharded") {
+        let shard = |id: &str| ShardConfig::new(id).with_backend(backend.clone());
+        let cold = campaign
+            .execute_sharded(&Echo, ExecConfig::with_workers(2), &root, &shard("s0"))
+            .unwrap();
+        assert!(cold.run.outcome.all_succeeded(), "{name}");
+        let report = cold.run.report(ReportOptions::default()).to_json();
 
-    let cold = campaign
-        .execute_sharded(
-            &Echo,
-            ExecConfig::with_workers(2),
-            &dir,
-            &ShardConfig::new("s0"),
-        )
-        .unwrap();
-    assert!(cold.run.outcome.all_succeeded());
-    let report = cold.run.report(ReportOptions::default()).to_json();
+        let warm = campaign
+            .execute_sharded(&Echo, ExecConfig::with_workers(2), &root, &shard("s1"))
+            .unwrap();
+        assert!(warm.run.outcome.all_succeeded(), "{name}");
+        assert_eq!(
+            warm.run.report(ReportOptions::default()).to_json(),
+            report,
+            "{name}: cold and warm shards must agree byte-for-byte"
+        );
 
-    let warm = campaign
-        .execute_sharded(
-            &Echo,
-            ExecConfig::with_workers(2),
-            &dir,
-            &ShardConfig::new("s1"),
-        )
-        .unwrap();
-    assert!(warm.run.outcome.all_succeeded());
-    assert_eq!(
-        warm.run.report(ReportOptions::default()).to_json(),
-        report,
-        "cold and warm shards must agree byte-for-byte on every backend"
-    );
-
-    let counts = execution_counts(&shard_replays(&dir).unwrap());
-    assert_eq!(counts.len(), campaign.plan().len());
-    assert!(counts.values().all(|&n| n == 1), "{counts:?}");
+        let counts = execution_counts(&shard_replays(&root).unwrap());
+        assert_eq!(counts.len(), campaign.plan().len(), "{name}");
+        assert!(counts.values().all(|&n| n == 1), "{name}: {counts:?}");
+    }
 }

@@ -18,12 +18,13 @@
 //! tomb file is left wedged.
 
 use gnnunlock_engine::testing::{
-    on_each_substrate, recoverable_schedule, Fault, FaultOp, FaultRule, Faulty, TempDir,
+    on_each_substrate, recoverable_schedule, Fault, FaultOp, FaultRule, Faulty, ObjectStoreBackend,
+    TempDir,
 };
 use gnnunlock_engine::{
     execution_counts, shard_replays, Campaign, CampaignRunner, Claim, DiskStore, ExecConfig,
-    JobCtx, JobKind, JobOutput, JobStatus, JobValue, LeaseManager, ObjectStoreBackend,
-    ReportOptions, ShardConfig, StageJob, StoreBackend, ValueCodec, DEGRADED_PREFIX,
+    JobCtx, JobKind, JobOutput, JobStatus, JobValue, LeaseManager, ReportOptions, ShardConfig,
+    StageJob, StoreBackend, ValueCodec, DEGRADED_PREFIX,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;

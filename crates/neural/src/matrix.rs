@@ -784,19 +784,18 @@ mod kernels {
     }
 }
 
-/// The pre-overhaul naive kernels, kept verbatim as the bit-exactness
-/// oracles (property tests assert the tiled kernels reproduce them
-/// exactly) and as the baselines the perf harness
-/// (`gnnunlock-bench perf`) times the optimized kernels against.
+/// The pre-overhaul naive kernels: the bit-exactness oracles that the
+/// property tests and `tests/kernel_goldens.rs` hold the tiled kernels
+/// to. Plain serial row loops with the original per-element order.
 pub mod reference {
-    use super::{Matrix, PARALLEL_THRESHOLD};
+    use super::Matrix;
 
     /// Naive `a * b`: per output row, stream `b` row-by-row with the
     /// historical `a == 0.0` skip branch, allocating a fresh output.
     pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
         assert_eq!(a.cols, b.rows, "matmul shape mismatch");
         let mut out = Matrix::zeros(a.rows, b.cols);
-        parallel_rows(a.rows, out.data.chunks_mut(b.cols.max(1)), |r, out_row| {
+        for (r, out_row) in out.data.chunks_mut(b.cols.max(1)).enumerate() {
             let a_row = a.row(r);
             for (k, &av) in a_row.iter().enumerate() {
                 if av == 0.0 {
@@ -807,7 +806,7 @@ pub mod reference {
                     *o += av * bv;
                 }
             }
-        });
+        }
         out
     }
 
@@ -835,7 +834,7 @@ pub mod reference {
     pub fn matmul_transpose(a: &Matrix, b: &Matrix) -> Matrix {
         assert_eq!(a.cols, b.cols, "matmul_transpose shape mismatch");
         let mut out = Matrix::zeros(a.rows, b.rows);
-        parallel_rows(a.rows, out.data.chunks_mut(b.rows.max(1)), |r, out_row| {
+        for (r, out_row) in out.data.chunks_mut(b.rows.max(1)).enumerate() {
             let a_row = a.row(r);
             for (j, o) in out_row.iter_mut().enumerate() {
                 let b_row = b.row(j);
@@ -845,47 +844,8 @@ pub mod reference {
                 }
                 *o = acc;
             }
-        });
+        }
         out
-    }
-
-    /// The original chunked-spawn parallel driver (kept for the
-    /// reference kernels so their measured baseline includes the
-    /// historical threading overhead).
-    fn parallel_rows<'a, I>(rows: usize, chunks: I, body: impl Fn(usize, &mut [f32]) + Sync)
-    where
-        I: Iterator<Item = &'a mut [f32]>,
-    {
-        let chunks: Vec<(usize, &mut [f32])> = chunks.enumerate().collect();
-        if rows < PARALLEL_THRESHOLD {
-            for (r, chunk) in chunks {
-                body(r, chunk);
-            }
-            return;
-        }
-        let n_threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(16);
-        let per_thread = chunks.len().div_ceil(n_threads);
-        let mut slots: Vec<Vec<(usize, &mut [f32])>> = Vec::new();
-        let mut iter = chunks.into_iter();
-        loop {
-            let batch: Vec<_> = iter.by_ref().take(per_thread).collect();
-            if batch.is_empty() {
-                break;
-            }
-            slots.push(batch);
-        }
-        std::thread::scope(|scope| {
-            for batch in slots {
-                scope.spawn(|| {
-                    for (r, chunk) in batch {
-                        body(r, chunk);
-                    }
-                });
-            }
-        });
     }
 }
 

@@ -30,8 +30,8 @@
 //! worker found the difference first.
 //!
 //! The pre-pipeline monolithic checker survives verbatim as
-//! [`reference`], the oracle the proptests and the `BENCH_verify`
-//! harness compare against.
+//! [`reference`](mod@reference), the oracle the proptests and
+//! `tests/real_lockers.rs` compare against.
 
 use crate::encode::{assert_lit, encode_netlist_filtered, fresh_lit, or_lit, xor_lit, StrashTable};
 use crate::lit::Lit;
@@ -766,11 +766,8 @@ fn solve_cones(
 
 pub mod reference {
     //! The pre-pipeline monolithic equivalence checker, kept verbatim as
-    //! the oracle the staged path is validated and benchmarked against
-    //! (the `BENCH_verify.json` `baseline_ns` column times this path,
-    //! per-pattern `Vec<Vec<bool>>` allocation storm and quadratic name
-    //! lookups included — it is the honest historical baseline, exactly
-    //! like `gnnunlock_neural::reference` for the kernels).
+    //! the oracle the staged path is validated against, like
+    //! `gnnunlock_neural::reference` for the kernels.
 
     use super::{EquivOptions, EquivResult};
     use crate::encode::{assert_lit, encode_netlist, or_lit, xor_lit};

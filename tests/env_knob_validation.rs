@@ -12,7 +12,7 @@ use gnnunlock::engine::{
     telemetry_enabled_from_env, trace_out_from_env, JobGraph, JobKind, JobValue, ShardConfig,
 };
 use gnnunlock::prelude::*;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -160,17 +160,20 @@ fn malformed_knobs_warn_and_fall_back() {
     std::env::remove_var("GNNUNLOCK_STORE_BREAKER_THRESHOLD");
     std::env::remove_var("GNNUNLOCK_STORE_BREAKER_PROBE_EVERY");
 
-    // --- store backend: `local` and `object` are the two substrates;
-    // the retired `memory` value warns and falls back to `local`.
-    let root = Path::new("/virtual/knob-validation");
+    // --- store backend: `local` is the only value; the retired
+    // `memory` and `object` values warn and fall back to `local`.
     let warnings_before = knob_warnings();
     std::env::set_var("GNNUNLOCK_STORE_BACKEND", "memory");
-    assert_eq!(backend_from_env(root).name(), "local");
+    assert_eq!(backend_from_env().name(), "local");
     assert_eq!(knob_warnings(), warnings_before + 1, "`memory` must warn");
     std::env::set_var("GNNUNLOCK_STORE_BACKEND", "object");
-    assert_eq!(backend_from_env(root).name(), "object");
+    assert_eq!(backend_from_env().name(), "local");
+    assert_eq!(knob_warnings(), warnings_before + 2, "`object` must warn");
+    std::env::set_var("GNNUNLOCK_STORE_BACKEND", "local");
+    assert_eq!(backend_from_env().name(), "local");
+    assert_eq!(knob_warnings(), warnings_before + 2, "`local` is valid");
     std::env::remove_var("GNNUNLOCK_STORE_BACKEND");
-    assert_eq!(backend_from_env(root).name(), "local");
+    assert_eq!(backend_from_env().name(), "local");
 
     // --- trace output override: a plain path pass-through.
     std::env::remove_var("GNNUNLOCK_TRACE_OUT");
