@@ -7,6 +7,7 @@
 //! protocol ("GNNUnlock attacks each design independently by excluding
 //! its corresponding graphs from training/validation").
 
+use gnnunlock_engine::fingerprint;
 use gnnunlock_gnn::{merge_graphs, netlist_to_graph, CircuitGraph, LabelScheme};
 use gnnunlock_locking::{
     lock_antisat, lock_caslock, lock_sfll_hd, AntiSatConfig, CasLockConfig, LockedCircuit,
@@ -206,9 +207,9 @@ impl DatasetConfig {
     /// instance — shared by [`Dataset::generate`] and the campaign
     /// engine so both produce identical circuits.
     pub(crate) fn instance_seed(&self, benchmark: &str, key_bits: usize, copy: usize) -> u64 {
-        self.seed
-            .wrapping_mul(0x9e3779b97f4a7c15)
-            .wrapping_add(fnv(benchmark) ^ ((key_bits as u64) << 32) ^ copy as u64)
+        self.seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(
+            fingerprint(benchmark.as_bytes()) ^ ((key_bits as u64) << 32) ^ copy as u64,
+        )
     }
 
     /// Feasibility mirrors the paper's exclusions: SFLL needs K protected
@@ -432,15 +433,6 @@ impl Dataset {
             circuits: self.instances.len(),
         }
     }
-}
-
-fn fnv(s: &str) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -29,6 +29,16 @@
 //! so a decoded value is bit-exact — warm runs reproduce cold-run
 //! reports byte for byte, and a training checkpoint restored from disk
 //! continues the exact trajectory of the run that wrote it.
+//!
+//! Each stored type has one layout, a private `Persist` impl whose
+//! `get` reads exactly what its `put` wrote; composite types are their
+//! fields in a fixed order. `Option<T>` is a `bool` tag and then the
+//! payload, `Vec<T>` a `usize` count and then the elements, and fixed
+//! arrays and tuples are their elements with no count. A count read
+//! from a payload never sizes an allocation on its own: every element
+//! takes at least one byte, so a `Vec` reserves at most as many
+//! elements as the payload has bytes left, and a corrupt count fails
+//! at the first short read.
 
 use crate::dataset::{
     Dataset, DatasetConfig, DatasetScheme, DatasetSummary, LockedInstance, Suite,
@@ -97,956 +107,520 @@ pub struct PipelineCodec;
 
 impl ValueCodec for PipelineCodec {
     fn encode(&self, kind: JobKind, value: &JobValue) -> Option<Vec<u8>> {
-        let mut w = ByteWriter::new();
         match kind {
-            JobKind::Parse => {
-                let v = value.downcast_ref::<Option<Netlist>>()?;
-                w.str(TAG_NETLIST);
-                match v {
-                    None => w.bool(false),
-                    Some(nl) => {
-                        w.bool(true);
-                        write_netlist(&mut w, nl);
-                    }
-                }
-            }
-            JobKind::Lock | JobKind::Synth => {
-                let v = value.downcast_ref::<Option<LockedCircuit>>()?;
-                w.str(TAG_LOCKED);
-                match v {
-                    None => w.bool(false),
-                    Some(locked) => {
-                        w.bool(true);
-                        write_locked(&mut w, locked);
-                    }
-                }
-            }
-            JobKind::Featurize => {
-                let v = value.downcast_ref::<Option<LockedInstance>>()?;
-                w.str(TAG_INSTANCE);
-                match v {
-                    None => w.bool(false),
-                    Some(inst) => {
-                        w.bool(true);
-                        write_locked_instance(&mut w, inst);
-                    }
-                }
-            }
-            JobKind::Dataset => {
-                let v = value.downcast_ref::<Dataset>()?;
-                w.str(TAG_DATASET);
-                write_dataset(&mut w, v);
-            }
-            JobKind::TrainEpoch => {
-                let v = value.downcast_ref::<CheckpointValue>()?;
-                w.str(TAG_CKPT);
-                match v {
-                    None => w.bool(false),
-                    Some(ckpt) => {
-                        w.bool(true);
-                        write_checkpoint(&mut w, ckpt);
-                    }
-                }
-            }
-            JobKind::Classify => {
-                let v = value.downcast_ref::<Option<ClassifyArtifact>>()?;
-                w.str(TAG_CLASSIFY);
-                match v {
-                    None => w.bool(false),
-                    Some(artifact) => {
-                        w.bool(true);
-                        write_instance_outcome(&mut w, &artifact.outcome);
-                        w.usize(artifact.preds.len());
-                        for &p in &artifact.preds {
-                            w.usize(p);
-                        }
-                    }
-                }
-            }
-            JobKind::Remove => {
-                let v = value.downcast_ref::<Option<RemovalArtifact>>()?;
-                w.str(TAG_REMOVE);
-                match v {
-                    None => w.bool(false),
-                    Some(artifact) => {
-                        w.bool(true);
-                        write_instance_outcome(&mut w, &artifact.outcome);
-                        write_netlist(&mut w, &artifact.recovered);
-                    }
-                }
-            }
-            JobKind::Train => {
-                let v = value.downcast_ref::<TrainValue>()?;
-                w.str(TAG_TRAIN);
-                match v {
-                    None => w.bool(false),
-                    Some((model, report)) => {
-                        w.bool(true);
-                        write_model(&mut w, model);
-                        write_train_report(&mut w, report);
-                    }
-                }
-            }
-            JobKind::Verify => {
-                let v = value.downcast_ref::<Option<InstanceOutcome>>()?;
-                w.str(TAG_VERIFY);
-                match v {
-                    None => w.bool(false),
-                    Some(outcome) => {
-                        w.bool(true);
-                        write_instance_outcome(&mut w, outcome);
-                    }
-                }
-            }
-            JobKind::Aggregate => {
-                let v = value.downcast_ref::<Vec<AttackOutcome>>()?;
-                w.str(TAG_AGGREGATE);
-                w.usize(v.len());
-                for outcome in v {
-                    write_attack_outcome(&mut w, outcome);
-                }
-            }
-            JobKind::Attack => {
-                // Whole-benchmark attack jobs (attack_targets) carry an
-                // AttackOutcome; campaign per-instance artifacts hold an
-                // Arc to the full dataset and are declined.
-                let v = value.downcast_ref::<AttackOutcome>()?;
-                w.str(TAG_ATTACK_OUTCOME);
-                write_attack_outcome(&mut w, v);
-            }
-            JobKind::Custom("summary") => {
-                let v = value.downcast_ref::<DatasetSummary>()?;
-                w.str(TAG_SUMMARY);
-                write_summary(&mut w, v);
-            }
-            _ => return None,
+            JobKind::Parse => encode_as::<Option<Netlist>>(TAG_NETLIST, value),
+            JobKind::Lock | JobKind::Synth => encode_as::<Option<LockedCircuit>>(TAG_LOCKED, value),
+            JobKind::Featurize => encode_as::<Option<LockedInstance>>(TAG_INSTANCE, value),
+            JobKind::Dataset => encode_as::<Dataset>(TAG_DATASET, value),
+            JobKind::TrainEpoch => encode_as::<CheckpointValue>(TAG_CKPT, value),
+            JobKind::Classify => encode_as::<Option<ClassifyArtifact>>(TAG_CLASSIFY, value),
+            JobKind::Remove => encode_as::<Option<RemovalArtifact>>(TAG_REMOVE, value),
+            JobKind::Train => encode_as::<TrainValue>(TAG_TRAIN, value),
+            JobKind::Verify => encode_as::<Option<InstanceOutcome>>(TAG_VERIFY, value),
+            JobKind::Aggregate => encode_as::<Vec<AttackOutcome>>(TAG_AGGREGATE, value),
+            // Whole-benchmark attack jobs (attack_targets) carry an
+            // AttackOutcome; campaign per-instance artifacts hold an
+            // Arc to the full dataset and are declined.
+            JobKind::Attack => encode_as::<AttackOutcome>(TAG_ATTACK_OUTCOME, value),
+            JobKind::Custom("summary") => encode_as::<DatasetSummary>(TAG_SUMMARY, value),
+            _ => None,
         }
-        Some(w.into_bytes())
     }
 
     fn decode(&self, kind: JobKind, bytes: &[u8]) -> Option<JobValue> {
         let mut r = ByteReader::new(bytes);
         let tag = r.str()?;
-        let value: JobValue = match (kind, tag.as_str()) {
-            (JobKind::Parse, TAG_NETLIST) => {
-                let v: Option<Netlist> = if r.bool()? {
-                    Some(read_netlist(&mut r)?)
-                } else {
-                    None
-                };
-                Arc::new(v)
-            }
-            (JobKind::Lock | JobKind::Synth, TAG_LOCKED) => {
-                let v: Option<LockedCircuit> = if r.bool()? {
-                    Some(read_locked(&mut r)?)
-                } else {
-                    None
-                };
-                Arc::new(v)
-            }
-            (JobKind::Featurize, TAG_INSTANCE) => {
-                let v: Option<LockedInstance> = if r.bool()? {
-                    Some(read_locked_instance(&mut r)?)
-                } else {
-                    None
-                };
-                Arc::new(v)
-            }
-            (JobKind::Dataset, TAG_DATASET) => Arc::new(read_dataset(&mut r)?),
-            (JobKind::TrainEpoch, TAG_CKPT) => {
-                let v: CheckpointValue = if r.bool()? {
-                    Some(read_checkpoint(&mut r)?)
-                } else {
-                    None
-                };
-                Arc::new(v)
-            }
-            (JobKind::Classify, TAG_CLASSIFY) => {
-                let v: Option<ClassifyArtifact> = if r.bool()? {
-                    let outcome = read_instance_outcome(&mut r)?;
-                    let n = r.usize()?;
-                    let mut preds = Vec::with_capacity(n.min(1 << 24));
-                    for _ in 0..n {
-                        preds.push(r.usize()?);
-                    }
-                    Some(ClassifyArtifact { outcome, preds })
-                } else {
-                    None
-                };
-                Arc::new(v)
-            }
-            (JobKind::Remove, TAG_REMOVE) => {
-                let v: Option<RemovalArtifact> = if r.bool()? {
-                    Some(RemovalArtifact {
-                        outcome: read_instance_outcome(&mut r)?,
-                        recovered: read_netlist(&mut r)?,
-                    })
-                } else {
-                    None
-                };
-                Arc::new(v)
-            }
-            (JobKind::Train, TAG_TRAIN) => {
-                let v: TrainValue = if r.bool()? {
-                    Some((read_model(&mut r)?, read_train_report(&mut r)?))
-                } else {
-                    None
-                };
-                Arc::new(v)
-            }
-            (JobKind::Verify, TAG_VERIFY) => {
-                let v: Option<InstanceOutcome> = if r.bool()? {
-                    Some(read_instance_outcome(&mut r)?)
-                } else {
-                    None
-                };
-                Arc::new(v)
-            }
-            (JobKind::Aggregate, TAG_AGGREGATE) => {
-                let n = r.usize()?;
-                let mut v = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    v.push(read_attack_outcome(&mut r)?);
-                }
-                Arc::new(v)
-            }
-            (JobKind::Attack, TAG_ATTACK_OUTCOME) => Arc::new(read_attack_outcome(&mut r)?),
-            (JobKind::Custom("summary"), TAG_SUMMARY) => Arc::new(read_summary(&mut r)?),
-            _ => return None,
-        };
-        r.is_exhausted().then_some(value)
+        match (kind, tag.as_str()) {
+            (JobKind::Parse, TAG_NETLIST) => decode_as::<Option<Netlist>>(r),
+            (JobKind::Lock | JobKind::Synth, TAG_LOCKED) => decode_as::<Option<LockedCircuit>>(r),
+            (JobKind::Featurize, TAG_INSTANCE) => decode_as::<Option<LockedInstance>>(r),
+            (JobKind::Dataset, TAG_DATASET) => decode_as::<Dataset>(r),
+            (JobKind::TrainEpoch, TAG_CKPT) => decode_as::<CheckpointValue>(r),
+            (JobKind::Classify, TAG_CLASSIFY) => decode_as::<Option<ClassifyArtifact>>(r),
+            (JobKind::Remove, TAG_REMOVE) => decode_as::<Option<RemovalArtifact>>(r),
+            (JobKind::Train, TAG_TRAIN) => decode_as::<TrainValue>(r),
+            (JobKind::Verify, TAG_VERIFY) => decode_as::<Option<InstanceOutcome>>(r),
+            (JobKind::Aggregate, TAG_AGGREGATE) => decode_as::<Vec<AttackOutcome>>(r),
+            (JobKind::Attack, TAG_ATTACK_OUTCOME) => decode_as::<AttackOutcome>(r),
+            (JobKind::Custom("summary"), TAG_SUMMARY) => decode_as::<DatasetSummary>(r),
+            _ => None,
+        }
     }
+}
+
+/// The payload of `value` as a `T`, behind `tag`; `None` when `value`
+/// is not a `T`.
+fn encode_as<T: Persist + 'static>(tag: &str, value: &JobValue) -> Option<Vec<u8>> {
+    let v = value.downcast_ref::<T>()?;
+    let mut w = ByteWriter::new();
+    w.str(tag);
+    v.put(&mut w);
+    Some(w.into_bytes())
+}
+
+/// A `T` read from the rest of the payload, which it must fill exactly.
+fn decode_as<T: Persist + Send + Sync + 'static>(mut r: ByteReader<'_>) -> Option<JobValue> {
+    let v = T::get(&mut r)?;
+    r.is_exhausted().then(|| Arc::new(v) as JobValue)
+}
+
+/// One stored type's byte layout. `get` reads exactly what `put`
+/// wrote, and returns `None` on a short or malformed payload.
+trait Persist: Sized {
+    fn put(&self, w: &mut ByteWriter);
+    fn get(r: &mut ByteReader<'_>) -> Option<Self>;
 }
 
 // ---------------------------------------------------------------------
-// Netlist / locked-circuit / graph payloads
+// Generic layouts
 // ---------------------------------------------------------------------
 
-fn gate_type_code(ty: GateType) -> u8 {
-    ALL_GATE_TYPES
-        .iter()
-        .position(|&t| t == ty)
-        .expect("every gate type is in ALL_GATE_TYPES") as u8
-}
-
-fn gate_type_from_code(code: u8) -> Option<GateType> {
-    ALL_GATE_TYPES.get(code as usize).copied()
-}
-
-fn write_driver(w: &mut ByteWriter, d: Driver) {
-    match d {
-        Driver::Input(id) => {
-            w.u8(0);
-            w.usize(id.index());
-        }
-        Driver::Gate(id) => {
-            w.u8(1);
-            w.usize(id.index());
-        }
-        Driver::Const(v) => {
-            w.u8(2);
-            w.bool(v);
-        }
-        Driver::Undriven => w.u8(3),
-    }
-}
-
-fn read_driver(r: &mut ByteReader<'_>) -> Option<Driver> {
-    Some(match r.u8()? {
-        0 => Driver::Input(InputId::from_index(r.usize()?)),
-        1 => Driver::Gate(GateId::from_index(r.usize()?)),
-        2 => Driver::Const(r.bool()?),
-        3 => Driver::Undriven,
-        _ => return None,
-    })
-}
-
-fn write_role(w: &mut ByteWriter, role: NodeRole) {
-    w.u8(match role {
-        NodeRole::Design => 0,
-        NodeRole::Perturb => 1,
-        NodeRole::Restore => 2,
-        NodeRole::AntiSat => 3,
-    });
-}
-
-fn read_role(r: &mut ByteReader<'_>) -> Option<NodeRole> {
-    Some(match r.u8()? {
-        0 => NodeRole::Design,
-        1 => NodeRole::Perturb,
-        2 => NodeRole::Restore,
-        3 => NodeRole::AntiSat,
-        _ => return None,
-    })
-}
-
-fn write_library(w: &mut ByteWriter, lib: CellLibrary) {
-    w.u8(match lib {
-        CellLibrary::Bench8 => 0,
-        CellLibrary::Lpe65 => 1,
-        CellLibrary::Nangate45 => 2,
-    });
-}
-
-fn read_library(r: &mut ByteReader<'_>) -> Option<CellLibrary> {
-    Some(match r.u8()? {
-        0 => CellLibrary::Bench8,
-        1 => CellLibrary::Lpe65,
-        2 => CellLibrary::Nangate45,
-        _ => return None,
-    })
-}
-
-fn write_netlist(w: &mut ByteWriter, nl: &Netlist) {
-    let parts = nl.to_parts();
-    w.str(&parts.name);
-    w.usize(parts.nets.len());
-    for (name, driver) in &parts.nets {
-        w.str(name);
-        write_driver(w, *driver);
-    }
-    w.usize(parts.inputs.len());
-    for (name, kind, net) in &parts.inputs {
-        w.str(name);
-        w.u8(matches!(kind, InputKind::Key) as u8);
-        w.u32(*net);
-    }
-    w.usize(parts.outputs.len());
-    for (name, net) in &parts.outputs {
-        w.str(name);
-        w.u32(*net);
-    }
-    w.usize(parts.gates.len());
-    for (alive, ty, inputs, output, role) in &parts.gates {
-        w.bool(*alive);
-        w.u8(gate_type_code(*ty));
-        w.usize(inputs.len());
-        for &i in inputs {
-            w.u32(i);
-        }
-        w.u32(*output);
-        write_role(w, *role);
-    }
-    for slot in parts.const_nets {
-        match slot {
-            None => w.bool(false),
-            Some(net) => {
-                w.bool(true);
-                w.u32(net);
+/// Primitives through the `ByteWriter`/`ByteReader` method of the same
+/// name.
+macro_rules! persist_primitives {
+    ($($ty:ty => $method:ident),+ $(,)?) => {$(
+        impl Persist for $ty {
+            fn put(&self, w: &mut ByteWriter) {
+                w.$method(*self);
+            }
+            fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+                r.$method()
             }
         }
-    }
-    w.u64(parts.fresh_counter);
+    )+};
 }
 
-fn read_netlist(r: &mut ByteReader<'_>) -> Option<Netlist> {
-    let name = r.str()?;
-    let n_nets = r.usize()?;
-    let mut nets = Vec::with_capacity(n_nets.min(1 << 24));
-    for _ in 0..n_nets {
-        nets.push((r.str()?, read_driver(r)?));
+persist_primitives!(
+    u8 => u8, u32 => u32, u64 => u64, usize => usize, f32 => f32, f64 => f64, bool => bool,
+);
+
+impl Persist for String {
+    fn put(&self, w: &mut ByteWriter) {
+        w.str(self);
     }
-    let n_inputs = r.usize()?;
-    let mut inputs = Vec::with_capacity(n_inputs.min(1 << 20));
-    for _ in 0..n_inputs {
-        let name = r.str()?;
-        let kind = match r.u8()? {
-            0 => InputKind::Primary,
-            1 => InputKind::Key,
-            _ => return None,
-        };
-        inputs.push((name, kind, r.u32()?));
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        r.str()
     }
-    let n_outputs = r.usize()?;
-    let mut outputs = Vec::with_capacity(n_outputs.min(1 << 20));
-    for _ in 0..n_outputs {
-        outputs.push((r.str()?, r.u32()?));
-    }
-    let n_gates = r.usize()?;
-    let mut gates = Vec::with_capacity(n_gates.min(1 << 24));
-    for _ in 0..n_gates {
-        let alive = r.bool()?;
-        let ty = gate_type_from_code(r.u8()?)?;
-        let n_ins = r.usize()?;
-        let mut ins = Vec::with_capacity(n_ins.min(1 << 12));
-        for _ in 0..n_ins {
-            ins.push(r.u32()?);
+}
+
+impl<T: Persist> Persist for Option<T> {
+    fn put(&self, w: &mut ByteWriter) {
+        w.bool(self.is_some());
+        if let Some(x) = self {
+            x.put(w);
         }
-        let output = r.u32()?;
-        gates.push((alive, ty, ins, output, read_role(r)?));
     }
-    let mut const_nets = [None, None];
-    for slot in &mut const_nets {
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
         if r.bool()? {
-            *slot = Some(r.u32()?);
+            T::get(r).map(Some)
+        } else {
+            Some(None)
         }
     }
-    let fresh_counter = r.u64()?;
-    Netlist::from_parts(NetlistParts {
-        name,
-        nets,
-        inputs,
-        outputs,
-        gates,
-        const_nets,
-        fresh_counter,
-    })
 }
 
-fn write_scheme(w: &mut ByteWriter, s: Scheme) {
-    match s {
-        Scheme::AntiSat => w.u8(0),
-        Scheme::TtLock => w.u8(1),
-        Scheme::SfllHd(h) => {
-            w.u8(2);
-            w.u32(h);
-        }
-        Scheme::CasLock => w.u8(3),
-        Scheme::Rll => w.u8(4),
-    }
-}
-
-fn read_scheme(r: &mut ByteReader<'_>) -> Option<Scheme> {
-    Some(match r.u8()? {
-        0 => Scheme::AntiSat,
-        1 => Scheme::TtLock,
-        2 => Scheme::SfllHd(r.u32()?),
-        3 => Scheme::CasLock,
-        4 => Scheme::Rll,
-        _ => return None,
-    })
-}
-
-fn write_locked(w: &mut ByteWriter, locked: &LockedCircuit) {
-    write_netlist(w, &locked.netlist);
-    write_scheme(w, locked.scheme);
-    let bits = locked.key.bits();
-    w.usize(bits.len());
-    for &b in bits {
-        w.bool(b);
-    }
-    w.usize(locked.protected_inputs.len());
-    for s in &locked.protected_inputs {
-        w.str(s);
-    }
-    w.str(&locked.target);
-}
-
-fn read_locked(r: &mut ByteReader<'_>) -> Option<LockedCircuit> {
-    let netlist = read_netlist(r)?;
-    let scheme = read_scheme(r)?;
-    let n = r.usize()?;
-    let mut bits = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        bits.push(r.bool()?);
-    }
-    let n = r.usize()?;
-    let mut protected_inputs = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        protected_inputs.push(r.str()?);
-    }
-    Some(LockedCircuit {
-        netlist,
-        scheme,
-        key: Key::from_bits(bits),
-        protected_inputs,
-        target: r.str()?,
-    })
-}
-
-fn write_csr(w: &mut ByteWriter, csr: &Csr) {
-    let (offsets, targets) = csr.parts();
-    w.usize(offsets.len());
-    for &o in offsets {
-        w.usize(o);
-    }
-    w.usize(targets.len());
-    for &t in targets {
-        w.u32(t);
-    }
-}
-
-fn read_csr(r: &mut ByteReader<'_>) -> Option<Csr> {
-    let n = r.usize()?;
-    let mut offsets = Vec::with_capacity(n.min(1 << 24));
-    for _ in 0..n {
-        offsets.push(r.usize()?);
-    }
-    let n = r.usize()?;
-    let mut targets = Vec::with_capacity(n.min(1 << 26));
-    for _ in 0..n {
-        targets.push(r.u32()?);
-    }
-    Csr::from_parts(offsets, targets)
-}
-
-fn write_label_scheme(w: &mut ByteWriter, s: LabelScheme) {
-    w.u8(match s {
-        LabelScheme::AntiSat => 0,
-        LabelScheme::Sfll => 1,
-    });
-}
-
-fn read_label_scheme(r: &mut ByteReader<'_>) -> Option<LabelScheme> {
-    Some(match r.u8()? {
-        0 => LabelScheme::AntiSat,
-        1 => LabelScheme::Sfll,
-        _ => return None,
-    })
-}
-
-fn write_graph(w: &mut ByteWriter, g: &CircuitGraph) {
-    write_matrix(w, &g.features);
-    w.usize(g.labels.len());
-    for &l in &g.labels {
-        w.usize(l);
-    }
-    write_csr(w, &g.adj);
-    w.usize(g.gate_ids.len());
-    for &g_id in &g.gate_ids {
-        w.usize(g_id.index());
-    }
-    write_library(w, g.library);
-    write_label_scheme(w, g.scheme);
-    w.str(&g.name);
-}
-
-fn read_graph(r: &mut ByteReader<'_>) -> Option<CircuitGraph> {
-    let features = read_matrix(r)?;
-    let n = r.usize()?;
-    let mut labels = Vec::with_capacity(n.min(1 << 24));
-    for _ in 0..n {
-        labels.push(r.usize()?);
-    }
-    let adj = read_csr(r)?;
-    let n = r.usize()?;
-    let mut gate_ids = Vec::with_capacity(n.min(1 << 24));
-    for _ in 0..n {
-        gate_ids.push(GateId::from_index(r.usize()?));
-    }
-    Some(CircuitGraph {
-        features,
-        labels,
-        adj,
-        gate_ids,
-        library: read_library(r)?,
-        scheme: read_label_scheme(r)?,
-        name: r.str()?,
-    })
-}
-
-fn write_locked_instance(w: &mut ByteWriter, inst: &LockedInstance) {
-    w.str(&inst.benchmark);
-    w.usize(inst.key_bits);
-    w.usize(inst.copy);
-    write_netlist(w, &inst.original);
-    write_locked(w, &inst.locked);
-    write_graph(w, &inst.graph);
-}
-
-fn read_locked_instance(r: &mut ByteReader<'_>) -> Option<LockedInstance> {
-    Some(LockedInstance {
-        benchmark: r.str()?,
-        key_bits: r.usize()?,
-        copy: r.usize()?,
-        original: read_netlist(r)?,
-        locked: read_locked(r)?,
-        graph: read_graph(r)?,
-    })
-}
-
-fn write_dataset_config(w: &mut ByteWriter, cfg: &DatasetConfig) {
-    match cfg.scheme {
-        DatasetScheme::AntiSat => w.u8(0),
-        DatasetScheme::CasLock => w.u8(1),
-        DatasetScheme::SfllHd(h) => {
-            w.u8(2);
-            w.u32(h);
-        }
-    }
-    w.u8(matches!(cfg.suite, Suite::Itc99) as u8);
-    write_library(w, cfg.library);
-    w.usize(cfg.key_sizes.len());
-    for &k in &cfg.key_sizes {
-        w.usize(k);
-    }
-    w.usize(cfg.locks_per_config);
-    w.f64(cfg.scale);
-    w.u8(cfg.synth_effort);
-    w.u64(cfg.seed);
-}
-
-fn read_dataset_config(r: &mut ByteReader<'_>) -> Option<DatasetConfig> {
-    let scheme = match r.u8()? {
-        0 => DatasetScheme::AntiSat,
-        1 => DatasetScheme::CasLock,
-        2 => DatasetScheme::SfllHd(r.u32()?),
-        _ => return None,
-    };
-    let suite = match r.u8()? {
-        0 => Suite::Iscas85,
-        1 => Suite::Itc99,
-        _ => return None,
-    };
-    let library = read_library(r)?;
-    let n = r.usize()?;
-    let mut key_sizes = Vec::with_capacity(n.min(1 << 10));
-    for _ in 0..n {
-        key_sizes.push(r.usize()?);
-    }
-    Some(DatasetConfig {
-        scheme,
-        suite,
-        library,
-        key_sizes,
-        locks_per_config: r.usize()?,
-        scale: r.f64()?,
-        synth_effort: r.u8()?,
-        seed: r.u64()?,
-    })
-}
-
-fn write_dataset(w: &mut ByteWriter, ds: &Dataset) {
-    write_dataset_config(w, &ds.config);
-    w.usize(ds.instances.len());
-    for inst in &ds.instances {
-        write_locked_instance(w, inst);
-    }
-}
-
-fn read_dataset(r: &mut ByteReader<'_>) -> Option<Dataset> {
-    let config = read_dataset_config(r)?;
-    let n = r.usize()?;
-    let mut instances = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        instances.push(read_locked_instance(r)?);
-    }
-    Some(Dataset { config, instances })
-}
-
-// ---------------------------------------------------------------------
-// Training-checkpoint payloads
-// ---------------------------------------------------------------------
-
-fn write_f32s(w: &mut ByteWriter, xs: &[f32]) {
+/// A `usize` count, then the elements.
+fn put_seq<T: Persist>(w: &mut ByteWriter, xs: &[T]) {
     w.usize(xs.len());
-    for &x in xs {
-        w.f32(x);
+    for x in xs {
+        x.put(w);
     }
 }
 
-fn read_f32s(r: &mut ByteReader<'_>) -> Option<Vec<f32>> {
-    let n = r.usize()?;
-    let mut xs = Vec::with_capacity(n.min(1 << 24));
+/// `n` elements. Every element takes at least one byte, so the reserve
+/// never exceeds what the payload can hold, whatever `n` says.
+fn get_n<T: Persist>(r: &mut ByteReader<'_>, n: usize) -> Option<Vec<T>> {
+    let mut xs = Vec::with_capacity(n.min(r.remaining()));
     for _ in 0..n {
-        xs.push(r.f32()?);
+        xs.push(T::get(r)?);
     }
     Some(xs)
 }
 
-fn write_optimizer(w: &mut ByteWriter, opt: &ModelOptimizer) {
-    let cfg = opt.config();
-    w.f32(cfg.lr);
-    w.f32(cfg.beta1);
-    w.f32(cfg.beta2);
-    w.f32(cfg.eps);
-    for state in opt.states() {
-        let (m, v, t) = state.parts();
-        write_f32s(w, m);
-        write_f32s(w, v);
-        w.u64(t);
+impl<T: Persist> Persist for Vec<T> {
+    fn put(&self, w: &mut ByteWriter) {
+        put_seq(w, self);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        let n = r.usize()?;
+        get_n(r, n)
     }
 }
 
-fn read_optimizer(r: &mut ByteReader<'_>) -> Option<ModelOptimizer> {
-    let cfg = AdamConfig {
-        lr: r.f32()?,
-        beta1: r.f32()?,
-        beta2: r.f32()?,
-        eps: r.f32()?,
-    };
-    let mut states = Vec::with_capacity(8);
-    for _ in 0..8 {
-        let m = read_f32s(r)?;
-        let v = read_f32s(r)?;
-        if m.len() != v.len() {
+impl<T: Persist, const N: usize> Persist for [T; N] {
+    fn put(&self, w: &mut ByteWriter) {
+        for x in self {
+            x.put(w);
+        }
+    }
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        get_n(r, N)?.try_into().ok()
+    }
+}
+
+macro_rules! persist_tuples {
+    ($(($($t:ident $i:tt),+))+) => {$(
+        impl<$($t: Persist),+> Persist for ($($t,)+) {
+            fn put(&self, w: &mut ByteWriter) {
+                $(self.$i.put(w);)+
+            }
+            fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+                Some(($($t::get(r)?,)+))
+            }
+        }
+    )+};
+}
+
+persist_tuples! {
+    (A 0, B 1)
+    (A 0, B 1, C 2)
+    (A 0, B 1, C 2, D 3, E 4)
+}
+
+/// Structs stored as their fields, in the listed order.
+macro_rules! persist_fields {
+    ($($ty:ident { $($field:ident),+ })+) => {$(
+        impl Persist for $ty {
+            fn put(&self, w: &mut ByteWriter) {
+                $(self.$field.put(w);)+
+            }
+            fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+                Some($ty { $($field: Persist::get(r)?),+ })
+            }
+        }
+    )+};
+}
+
+/// Field-less enums stored as one `u8` code.
+macro_rules! persist_codes {
+    ($($ty:ident { $($variant:ident = $code:literal),+ })+) => {$(
+        impl Persist for $ty {
+            fn put(&self, w: &mut ByteWriter) {
+                w.u8(match self {
+                    $($ty::$variant => $code,)+
+                });
+            }
+            fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+                Some(match r.u8()? {
+                    $($code => $ty::$variant,)+
+                    _ => return None,
+                })
+            }
+        }
+    )+};
+}
+
+// ---------------------------------------------------------------------
+// Pipeline artifacts
+// ---------------------------------------------------------------------
+
+persist_codes! {
+    InputKind { Primary = 0, Key = 1 }
+    NodeRole { Design = 0, Perturb = 1, Restore = 2, AntiSat = 3 }
+    CellLibrary { Bench8 = 0, Lpe65 = 1, Nangate45 = 2 }
+    LabelScheme { AntiSat = 0, Sfll = 1 }
+    Suite { Iscas85 = 0, Itc99 = 1 }
+}
+
+persist_fields! {
+    LockedCircuit { netlist, scheme, key, protected_inputs, target }
+    CircuitGraph { features, labels, adj, gate_ids, library, scheme, name }
+    LockedInstance { benchmark, key_bits, copy, original, locked, graph }
+    DatasetConfig { scheme, suite, library, key_sizes, locks_per_config, scale, synth_effort, seed }
+    Dataset { config, instances }
+    AdamConfig { lr, beta1, beta2, eps }
+    Linear { weight, bias }
+    ModelConfig { feature_len, hidden, classes, dropout, seed }
+    TrainCheckpoint {
+        model, opt, sampler_rng, inclusion, best, best_val, history, evals_since_best,
+        epochs_run, done, elapsed_secs
+    }
+    TrainReport { best_val_accuracy, epochs_run, train_time, history }
+    AttackOutcome { benchmark, instances, train_report }
+    DatasetSummary { name, benchmarks, format, classes, feature_len, nodes, circuits }
+    ClassifyArtifact { outcome, preds }
+    RemovalArtifact { outcome, recovered }
+}
+
+impl Persist for GateType {
+    fn put(&self, w: &mut ByteWriter) {
+        let code = ALL_GATE_TYPES.iter().position(|t| t == self);
+        w.u8(code.expect("every gate type is in ALL_GATE_TYPES") as u8);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        ALL_GATE_TYPES.get(usize::from(r.u8()?)).copied()
+    }
+}
+
+impl Persist for GateId {
+    fn put(&self, w: &mut ByteWriter) {
+        w.usize(self.index());
+    }
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        Some(GateId::from_index(r.usize()?))
+    }
+}
+
+impl Persist for Driver {
+    fn put(&self, w: &mut ByteWriter) {
+        match *self {
+            Driver::Input(id) => {
+                w.u8(0);
+                w.usize(id.index());
+            }
+            Driver::Gate(id) => {
+                w.u8(1);
+                id.put(w);
+            }
+            Driver::Const(v) => {
+                w.u8(2);
+                w.bool(v);
+            }
+            Driver::Undriven => w.u8(3),
+        }
+    }
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        Some(match r.u8()? {
+            0 => Driver::Input(InputId::from_index(r.usize()?)),
+            1 => Driver::Gate(Persist::get(r)?),
+            2 => Driver::Const(r.bool()?),
+            3 => Driver::Undriven,
+            _ => return None,
+        })
+    }
+}
+
+impl Persist for Netlist {
+    fn put(&self, w: &mut ByteWriter) {
+        let parts = self.to_parts();
+        parts.name.put(w);
+        parts.nets.put(w);
+        parts.inputs.put(w);
+        parts.outputs.put(w);
+        parts.gates.put(w);
+        parts.const_nets.put(w);
+        parts.fresh_counter.put(w);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        Netlist::from_parts(NetlistParts {
+            name: Persist::get(r)?,
+            nets: Persist::get(r)?,
+            inputs: Persist::get(r)?,
+            outputs: Persist::get(r)?,
+            gates: Persist::get(r)?,
+            const_nets: Persist::get(r)?,
+            fresh_counter: Persist::get(r)?,
+        })
+    }
+}
+
+impl Persist for Scheme {
+    fn put(&self, w: &mut ByteWriter) {
+        match *self {
+            Scheme::AntiSat => w.u8(0),
+            Scheme::TtLock => w.u8(1),
+            Scheme::SfllHd(h) => {
+                w.u8(2);
+                w.u32(h);
+            }
+            Scheme::CasLock => w.u8(3),
+            Scheme::Rll => w.u8(4),
+        }
+    }
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        Some(match r.u8()? {
+            0 => Scheme::AntiSat,
+            1 => Scheme::TtLock,
+            2 => Scheme::SfllHd(r.u32()?),
+            3 => Scheme::CasLock,
+            4 => Scheme::Rll,
+            _ => return None,
+        })
+    }
+}
+
+impl Persist for DatasetScheme {
+    fn put(&self, w: &mut ByteWriter) {
+        match *self {
+            DatasetScheme::AntiSat => w.u8(0),
+            DatasetScheme::CasLock => w.u8(1),
+            DatasetScheme::SfllHd(h) => {
+                w.u8(2);
+                w.u32(h);
+            }
+        }
+    }
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        Some(match r.u8()? {
+            0 => DatasetScheme::AntiSat,
+            1 => DatasetScheme::CasLock,
+            2 => DatasetScheme::SfllHd(r.u32()?),
+            _ => return None,
+        })
+    }
+}
+
+impl Persist for Key {
+    fn put(&self, w: &mut ByteWriter) {
+        put_seq(w, self.bits());
+    }
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        Some(Key::from_bits(Persist::get(r)?))
+    }
+}
+
+impl Persist for Csr {
+    fn put(&self, w: &mut ByteWriter) {
+        let (offsets, targets) = self.parts();
+        put_seq(w, offsets);
+        put_seq(w, targets);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        Csr::from_parts(Persist::get(r)?, Persist::get(r)?)
+    }
+}
+
+/// Rows and columns, then the data with no count of its own.
+impl Persist for Matrix {
+    fn put(&self, w: &mut ByteWriter) {
+        w.usize(self.rows());
+        w.usize(self.cols());
+        for x in self.data() {
+            x.put(w);
+        }
+    }
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        let rows = r.usize()?;
+        let cols = r.usize()?;
+        let data = get_n(r, rows.checked_mul(cols)?)?;
+        Some(Matrix::from_vec(rows, cols, data))
+    }
+}
+
+impl Persist for AdamState {
+    fn put(&self, w: &mut ByteWriter) {
+        let (m, v, t) = self.parts();
+        put_seq(w, m);
+        put_seq(w, v);
+        t.put(w);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        let (m, v, t): (Vec<f32>, Vec<f32>, u64) = Persist::get(r)?;
+        // from_parts asserts equal lengths; a corrupt payload is a miss.
+        (m.len() == v.len()).then(|| AdamState::from_parts(m, v, t))
+    }
+}
+
+/// The hyperparameters, then the 8 Adam states with no count.
+impl Persist for ModelOptimizer {
+    fn put(&self, w: &mut ByteWriter) {
+        self.config().put(w);
+        for state in self.states() {
+            state.put(w);
+        }
+    }
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        Some(ModelOptimizer::from_states(
+            Persist::get(r)?,
+            Persist::get(r)?,
+        ))
+    }
+}
+
+impl Persist for SageModel {
+    fn put(&self, w: &mut ByteWriter) {
+        self.config.put(w);
+        for layer in self.parts() {
+            layer.put(w);
+        }
+    }
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        let config: ModelConfig = Persist::get(r)?;
+        let [encoder, layer1, layer2, head]: [Linear; 4] = Persist::get(r)?;
+        // Shape-check before from_parts so a corrupt payload decodes to a
+        // miss instead of panicking inside the assertion.
+        let h = config.hidden;
+        let shapes_ok = encoder.in_dim() == config.feature_len
+            && encoder.out_dim() == h
+            && layer1.in_dim() == 2 * h
+            && layer1.out_dim() == h
+            && layer2.in_dim() == 2 * h
+            && layer2.out_dim() == h
+            && head.in_dim() == h
+            && head.out_dim() == config.classes;
+        shapes_ok.then(|| SageModel::from_parts(config, encoder, layer1, layer2, head))
+    }
+}
+
+/// Seconds as an `f64`.
+impl Persist for Duration {
+    fn put(&self, w: &mut ByteWriter) {
+        w.f64(self.as_secs_f64());
+    }
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        // try_from_secs_f64 rejects NaN, infinities, negatives AND
+        // over-range finite values — a malformed duration field must
+        // decode to a miss, never panic.
+        Duration::try_from_secs_f64(r.f64()?).ok()
+    }
+}
+
+/// The class count `k`, then the `k x k` confusion counts row by row.
+impl Persist for Metrics {
+    fn put(&self, w: &mut ByteWriter) {
+        let k = self.num_classes();
+        w.usize(k);
+        for l in 0..k {
+            for p in 0..k {
+                w.usize(self.count(l, p));
+            }
+        }
+    }
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        let k = r.usize()?;
+        // The label schemes have 2 or 3 classes; a k over 64 is a
+        // corrupt payload, not a table to allocate.
+        if k > 64 {
             return None;
         }
-        states.push(AdamState::from_parts(m, v, r.u64()?));
-    }
-    let states: [AdamState; 8] = states.try_into().ok()?;
-    Some(ModelOptimizer::from_states(cfg, states))
-}
-
-fn write_checkpoint(w: &mut ByteWriter, ckpt: &TrainCheckpoint) {
-    write_model(w, &ckpt.model);
-    write_optimizer(w, &ckpt.opt);
-    for word in ckpt.sampler_rng {
-        w.u64(word);
-    }
-    write_f32s(w, &ckpt.inclusion);
-    write_model(w, &ckpt.best);
-    w.f64(ckpt.best_val);
-    w.usize(ckpt.history.len());
-    for &(epoch, loss, acc) in &ckpt.history {
-        w.usize(epoch);
-        w.f32(loss);
-        w.f64(acc);
-    }
-    w.usize(ckpt.evals_since_best);
-    w.usize(ckpt.epochs_run);
-    w.bool(ckpt.done);
-    w.f64(ckpt.elapsed_secs);
-}
-
-fn read_checkpoint(r: &mut ByteReader<'_>) -> Option<TrainCheckpoint> {
-    let model = read_model(r)?;
-    let opt = read_optimizer(r)?;
-    let mut sampler_rng = [0u64; 4];
-    for word in &mut sampler_rng {
-        *word = r.u64()?;
-    }
-    let inclusion = read_f32s(r)?;
-    let best = read_model(r)?;
-    let best_val = r.f64()?;
-    let n = r.usize()?;
-    let mut history = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        history.push((r.usize()?, r.f32()?, r.f64()?));
-    }
-    Some(TrainCheckpoint {
-        model,
-        opt,
-        sampler_rng,
-        inclusion,
-        best,
-        best_val,
-        history,
-        evals_since_best: r.usize()?,
-        epochs_run: r.usize()?,
-        done: r.bool()?,
-        elapsed_secs: r.f64()?,
-    })
-}
-
-fn write_matrix(w: &mut ByteWriter, m: &Matrix) {
-    w.usize(m.rows());
-    w.usize(m.cols());
-    for &x in m.data() {
-        w.f32(x);
-    }
-}
-
-fn read_matrix(r: &mut ByteReader<'_>) -> Option<Matrix> {
-    let rows = r.usize()?;
-    let cols = r.usize()?;
-    let n = rows.checked_mul(cols)?;
-    let mut data = Vec::with_capacity(n.min(1 << 24));
-    for _ in 0..n {
-        data.push(r.f32()?);
-    }
-    Some(Matrix::from_vec(rows, cols, data))
-}
-
-fn write_linear(w: &mut ByteWriter, l: &Linear) {
-    write_matrix(w, &l.weight);
-    w.usize(l.bias.len());
-    for &b in &l.bias {
-        w.f32(b);
-    }
-}
-
-fn read_linear(r: &mut ByteReader<'_>) -> Option<Linear> {
-    let weight = read_matrix(r)?;
-    let n = r.usize()?;
-    let mut bias = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        bias.push(r.f32()?);
-    }
-    Some(Linear { weight, bias })
-}
-
-fn write_model(w: &mut ByteWriter, m: &SageModel) {
-    w.usize(m.config.feature_len);
-    w.usize(m.config.hidden);
-    w.usize(m.config.classes);
-    w.f64(m.config.dropout);
-    w.u64(m.config.seed);
-    for layer in m.parts() {
-        write_linear(w, layer);
-    }
-}
-
-fn read_model(r: &mut ByteReader<'_>) -> Option<SageModel> {
-    let config = ModelConfig {
-        feature_len: r.usize()?,
-        hidden: r.usize()?,
-        classes: r.usize()?,
-        dropout: r.f64()?,
-        seed: r.u64()?,
-    };
-    let encoder = read_linear(r)?;
-    let layer1 = read_linear(r)?;
-    let layer2 = read_linear(r)?;
-    let head = read_linear(r)?;
-    // Shape-check before from_parts so a corrupt payload decodes to a
-    // miss instead of panicking inside the assertion.
-    let h = config.hidden;
-    let shapes_ok = encoder.in_dim() == config.feature_len
-        && encoder.out_dim() == h
-        && layer1.in_dim() == 2 * h
-        && layer1.out_dim() == h
-        && layer2.in_dim() == 2 * h
-        && layer2.out_dim() == h
-        && head.in_dim() == h
-        && head.out_dim() == config.classes;
-    shapes_ok.then(|| SageModel::from_parts(config, encoder, layer1, layer2, head))
-}
-
-fn write_train_report(w: &mut ByteWriter, r: &TrainReport) {
-    w.f64(r.best_val_accuracy);
-    w.usize(r.epochs_run);
-    w.f64(r.train_time.as_secs_f64());
-    w.usize(r.history.len());
-    for &(epoch, loss, acc) in &r.history {
-        w.usize(epoch);
-        w.f32(loss);
-        w.f64(acc);
-    }
-}
-
-fn read_train_report(r: &mut ByteReader<'_>) -> Option<TrainReport> {
-    let best_val_accuracy = r.f64()?;
-    let epochs_run = r.usize()?;
-    // try_from_secs_f64 rejects NaN, infinities, negatives AND
-    // over-range finite values — a malformed duration field must decode
-    // to a miss, never panic.
-    let train_time = Duration::try_from_secs_f64(r.f64()?).ok()?;
-    let n = r.usize()?;
-    let mut history = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        history.push((r.usize()?, r.f32()?, r.f64()?));
-    }
-    Some(TrainReport {
-        best_val_accuracy,
-        epochs_run,
-        train_time,
-        history,
-    })
-}
-
-fn write_metrics(w: &mut ByteWriter, m: &Metrics) {
-    let k = m.num_classes();
-    w.usize(k);
-    for l in 0..k {
-        for p in 0..k {
-            w.usize(m.count(l, p));
-        }
-    }
-}
-
-fn read_metrics(r: &mut ByteReader<'_>) -> Option<Metrics> {
-    let k = r.usize()?;
-    if k > 64 {
-        return None;
-    }
-    let mut confusion = Vec::with_capacity(k);
-    for _ in 0..k {
-        let mut row = Vec::with_capacity(k);
+        let mut confusion = Vec::with_capacity(k);
         for _ in 0..k {
-            row.push(r.usize()?);
+            confusion.push(get_n(r, k)?);
         }
-        confusion.push(row);
-    }
-    Some(Metrics::from_confusion(confusion))
-}
-
-fn write_instance_outcome(w: &mut ByteWriter, o: &InstanceOutcome) {
-    w.str(&o.benchmark);
-    w.usize(o.key_bits);
-    write_metrics(w, &o.gnn);
-    write_metrics(w, &o.post);
-    match o.removal_success {
-        None => w.u8(2),
-        Some(false) => w.u8(0),
-        Some(true) => w.u8(1),
-    }
-    w.usize(o.misclassifications.len());
-    for s in &o.misclassifications {
-        w.str(s);
+        Some(Metrics::from_confusion(confusion))
     }
 }
 
-fn read_instance_outcome(r: &mut ByteReader<'_>) -> Option<InstanceOutcome> {
-    let benchmark = r.str()?;
-    let key_bits = r.usize()?;
-    let gnn = read_metrics(r)?;
-    let post = read_metrics(r)?;
-    let removal_success = match r.u8()? {
-        0 => Some(false),
-        1 => Some(true),
-        2 => None,
-        _ => return None,
-    };
-    let n = r.usize()?;
-    let mut misclassifications = Vec::with_capacity(n.min(1 << 12));
-    for _ in 0..n {
-        misclassifications.push(r.str()?);
+/// `removal_success` is one code (0 failed, 1 succeeded, 2 not yet
+/// verified), not an `Option<bool>`.
+impl Persist for InstanceOutcome {
+    fn put(&self, w: &mut ByteWriter) {
+        self.benchmark.put(w);
+        self.key_bits.put(w);
+        self.gnn.put(w);
+        self.post.put(w);
+        w.u8(match self.removal_success {
+            Some(false) => 0,
+            Some(true) => 1,
+            None => 2,
+        });
+        self.misclassifications.put(w);
     }
-    Some(InstanceOutcome {
-        benchmark,
-        key_bits,
-        gnn,
-        post,
-        removal_success,
-        misclassifications,
-    })
-}
-
-fn write_attack_outcome(w: &mut ByteWriter, o: &AttackOutcome) {
-    w.str(&o.benchmark);
-    w.usize(o.instances.len());
-    for inst in &o.instances {
-        write_instance_outcome(w, inst);
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        Some(InstanceOutcome {
+            benchmark: Persist::get(r)?,
+            key_bits: Persist::get(r)?,
+            gnn: Persist::get(r)?,
+            post: Persist::get(r)?,
+            removal_success: match r.u8()? {
+                0 => Some(false),
+                1 => Some(true),
+                2 => None,
+                _ => return None,
+            },
+            misclassifications: Persist::get(r)?,
+        })
     }
-    write_train_report(w, &o.train_report);
-}
-
-fn read_attack_outcome(r: &mut ByteReader<'_>) -> Option<AttackOutcome> {
-    let benchmark = r.str()?;
-    let n = r.usize()?;
-    let mut instances = Vec::with_capacity(n.min(1 << 12));
-    for _ in 0..n {
-        instances.push(read_instance_outcome(r)?);
-    }
-    let train_report = read_train_report(r)?;
-    Some(AttackOutcome {
-        benchmark,
-        instances,
-        train_report,
-    })
-}
-
-fn write_summary(w: &mut ByteWriter, s: &DatasetSummary) {
-    w.str(&s.name);
-    w.str(&s.benchmarks);
-    w.str(&s.format);
-    w.usize(s.classes);
-    w.usize(s.feature_len);
-    w.usize(s.nodes);
-    w.usize(s.circuits);
-}
-
-fn read_summary(r: &mut ByteReader<'_>) -> Option<DatasetSummary> {
-    Some(DatasetSummary {
-        name: r.str()?,
-        benchmarks: r.str()?,
-        format: r.str()?,
-        classes: r.usize()?,
-        feature_len: r.usize()?,
-        nodes: r.usize()?,
-        circuits: r.usize()?,
-    })
 }
 
 #[cfg(test)]
@@ -1305,6 +879,132 @@ mod tests {
         }
     }
 
+    /// Pins the payload bytes of every tag, so a store written by an
+    /// older build stays warm; each payload must also decode and
+    /// re-encode to the same bytes.
+    #[test]
+    fn every_payload_tag_keeps_its_bytes() {
+        use gnnunlock_engine::fingerprint;
+        use gnnunlock_gnn::{SaintConfig, TrainConfig, TrainState};
+        let inst = tiny_instance();
+        let cfg = TrainConfig {
+            epochs: 12,
+            hidden: 8,
+            eval_every: 2,
+            saint: SaintConfig {
+                roots: 50,
+                walk_length: 2,
+                estimation_rounds: 2,
+                seed: 3,
+            },
+            ..TrainConfig::default()
+        };
+        let mut state = TrainState::new(&inst.graph, &inst.graph, &cfg);
+        for _ in 0..5 {
+            state.step_epoch(&inst.graph, &inst.graph);
+        }
+        let mut ckpt = state.checkpoint();
+        ckpt.elapsed_secs = 0.75;
+        let attack = sample_outcome();
+        let verified = attack.instances[0].clone();
+        let classified = InstanceOutcome {
+            removal_success: None,
+            ..verified.clone()
+        };
+        let mut failed = sample_outcome();
+        failed.benchmark = "c5315".into();
+        failed.instances[0].removal_success = Some(false);
+        let mut config = DatasetConfig::antisat(Suite::Iscas85, 0.02);
+        config.scheme = DatasetScheme::SfllHd(2);
+        let summary = DatasetSummary {
+            name: "ISCAS-85 Anti-SAT".into(),
+            benchmarks: "ISCAS-85".into(),
+            format: "Bench".into(),
+            classes: 2,
+            feature_len: 13,
+            nodes: 1234,
+            circuits: 8,
+        };
+        let cases: [(JobKind, JobValue, u64); 12] = [
+            (
+                JobKind::Parse,
+                Arc::new(Some(inst.original.clone())),
+                0x773068d23339ba81,
+            ),
+            (
+                JobKind::Lock,
+                Arc::new(Some(inst.locked.clone())),
+                0x9a60df1e8a0a74fe,
+            ),
+            (
+                JobKind::Featurize,
+                Arc::new(Some(inst.clone())),
+                0xa2e52f7d1176d586,
+            ),
+            (
+                JobKind::Dataset,
+                Arc::new(Dataset {
+                    config,
+                    instances: vec![inst.clone()],
+                }),
+                0x0b26d9c51a566c7f,
+            ),
+            (
+                JobKind::TrainEpoch,
+                Arc::new(Some(ckpt.clone())),
+                0x0122bfcb48ca72f5,
+            ),
+            (
+                JobKind::Train,
+                Arc::new(Some((ckpt.model.clone(), attack.train_report.clone()))),
+                0x2f65876ccd66e747,
+            ),
+            (
+                JobKind::Classify,
+                Arc::new(Some(ClassifyArtifact {
+                    outcome: classified.clone(),
+                    preds: inst.graph.labels.clone(),
+                })),
+                0x1fbc36a22faf0445,
+            ),
+            (
+                JobKind::Remove,
+                Arc::new(Some(RemovalArtifact {
+                    outcome: classified,
+                    recovered: inst.original.clone(),
+                })),
+                0xa60e6eb13e187b40,
+            ),
+            (
+                JobKind::Verify,
+                Arc::new(Some(verified)),
+                0x7dd341f83e8fe470,
+            ),
+            (
+                JobKind::Aggregate,
+                Arc::new(vec![attack.clone(), failed]),
+                0xcd26815b5b0a440e,
+            ),
+            (JobKind::Attack, Arc::new(attack), 0xe93e104267ff6f69),
+            (
+                JobKind::Custom("summary"),
+                Arc::new(summary),
+                0x6e416618827b8681,
+            ),
+        ];
+        let codec = PipelineCodec;
+        for (kind, value, digest) in cases {
+            let bytes = codec.encode(kind, &value).expect("encodable");
+            assert_eq!(fingerprint(&bytes), digest, "{kind:?} payload bytes");
+            let back = codec.decode(kind, &bytes).expect("decodable");
+            assert_eq!(
+                codec.encode(kind, &back),
+                Some(bytes),
+                "{kind:?} round trip"
+            );
+        }
+    }
+
     #[test]
     fn alien_payloads_decode_to_none() {
         let codec = PipelineCodec;
@@ -1320,6 +1020,11 @@ mod tests {
         let mut extended = bytes.clone();
         extended.push(0);
         assert!(codec.decode(JobKind::Attack, &extended).is_none());
+        // A valid tag, then a length prefix no payload can hold.
+        let mut w = ByteWriter::new();
+        w.str(TAG_AGGREGATE);
+        w.u64(u64::MAX);
+        assert!(codec.decode(JobKind::Aggregate, &w.into_bytes()).is_none());
         // Values the codec does not cover are declined on encode.
         let shard: JobValue = Arc::new(42u64);
         assert!(codec.encode(JobKind::Lock, &shard).is_none());

@@ -59,7 +59,7 @@ pub struct DaemonConfig {
     pub terminal_retained: usize,
     /// Store backend campaign executions and tenant budget sweeps run
     /// against. `None` (the default) is the local filesystem
-    /// ([`gnnunlock_engine::backend_from_env`]). Tests pass a
+    /// ([`gnnunlock_engine::LocalDirBackend`]). Tests pass a
     /// fault-injecting [`gnnunlock_engine::testing::Faulty`] backend
     /// here.
     pub store_backend: Option<Arc<dyn StoreBackend>>,

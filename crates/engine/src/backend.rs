@@ -39,8 +39,8 @@
 //!
 //! Backend selection: explicit (`ShardConfig::with_backend`,
 //! `DaemonConfig::with_store_backend`, `DiskStore::open_with_backend`)
-//! or [`backend_from_env`], which is always `local`. Whatever the
-//! selection, [`crate::DiskStore`] wraps the backend in the
+//! or, by default, a [`LocalDirBackend`]. Whatever the selection,
+//! [`crate::DiskStore`] wraps the backend in the
 //! [`crate::resilience`] layer — deterministic retries, a per-backend
 //! circuit breaker, and a publish spill queue.
 
@@ -48,14 +48,7 @@ use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, SystemTime};
-
-/// Environment variable naming the store backend. `local` (real
-/// directories + atomic renames) is its only value; any other value,
-/// the retired `memory` and `object` included, warns via [`crate::env`]
-/// and falls back to `local`.
-pub const STORE_BACKEND_ENV: &str = "GNNUNLOCK_STORE_BACKEND";
 
 /// One file's metadata as reported by [`StoreBackend::list`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -293,17 +286,11 @@ impl StoreBackend for LocalDirBackend {
     }
 }
 
-/// The backend named by [`STORE_BACKEND_ENV`]: a [`LocalDirBackend`].
-/// A value other than `local` warns (via [`crate::env`]) first.
-pub fn backend_from_env() -> Arc<dyn StoreBackend> {
-    crate::env::knob_validated::<String>(STORE_BACKEND_ENV, "\"local\"", |v| v == "local");
-    Arc::new(LocalDirBackend::new())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testing::{Faulty, ObjectStoreBackend, TempDir};
+    use std::sync::Arc;
 
     /// Both substrates, plus the rule-free fault decorator over a real
     /// directory, each under its own root.

@@ -190,6 +190,7 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::StringCodec;
     use std::sync::Arc;
 
     #[test]
@@ -215,21 +216,6 @@ mod tests {
         assert_eq!(cache.len(), 1);
         cache.clear();
         assert!(cache.is_empty());
-    }
-
-    /// Codec for plain `String` values, used by cache/executor tests.
-    struct StringCodec;
-
-    impl ValueCodec for StringCodec {
-        fn encode(&self, _kind: JobKind, value: &JobValue) -> Option<Vec<u8>> {
-            value
-                .downcast_ref::<String>()
-                .map(|s| s.as_bytes().to_vec())
-        }
-
-        fn decode(&self, _kind: JobKind, bytes: &[u8]) -> Option<JobValue> {
-            Some(Arc::new(String::from_utf8(bytes.to_vec()).ok()?) as JobValue)
-        }
     }
 
     #[test]

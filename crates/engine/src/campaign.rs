@@ -690,24 +690,9 @@ impl CampaignRun {
 mod tests {
     use super::*;
     use crate::exec::ExecConfig;
-    use crate::graph::JobValue;
+    use crate::testing::Echo;
 
-    /// Toy runner: every stage emits a string describing itself and its
-    /// inputs, so aggregate values encode the whole dependency story.
-    struct EchoRunner;
-
-    impl CampaignRunner for EchoRunner {
-        fn config_salt(&self) -> u64 {
-            7
-        }
-
-        fn run(&self, job: &StageJob, ctx: &JobCtx<'_>) -> JobOutput {
-            let inputs: Vec<String> = (0..ctx.deps.len())
-                .map(|i| ctx.dep::<String>(i).as_ref().clone())
-                .collect();
-            Ok(Arc::new(format!("{}<-[{}]", job.label(), inputs.join(";"))) as JobValue)
-        }
-    }
+    const ECHO: Echo = Echo { salt: 7 };
 
     fn tiny() -> Campaign {
         Campaign::builder("tiny")
@@ -797,8 +782,8 @@ mod tests {
     #[test]
     fn worker_count_does_not_change_the_report() {
         let c = tiny();
-        let run1 = c.execute(&EchoRunner, &Executor::new(ExecConfig::with_workers(1)));
-        let run4 = c.execute(&EchoRunner, &Executor::new(ExecConfig::with_workers(4)));
+        let run1 = c.execute(&ECHO, &Executor::new(ExecConfig::with_workers(1)));
+        let run4 = c.execute(&ECHO, &Executor::new(ExecConfig::with_workers(4)));
         assert_eq!(
             run1.report(ReportOptions::default()).to_json(),
             run4.report(ReportOptions::default()).to_json()
@@ -812,9 +797,9 @@ mod tests {
     fn repeated_execution_hits_the_cache() {
         let c = tiny();
         let exec = Executor::new(ExecConfig::with_workers(4));
-        let first = c.execute(&EchoRunner, &exec);
+        let first = c.execute(&ECHO, &exec);
         assert_eq!(first.outcome.stats.cache_hits(), 0);
-        let second = c.execute(&EchoRunner, &exec);
+        let second = c.execute(&ECHO, &exec);
         assert_eq!(second.outcome.stats.cache_hits(), c.plan().len());
         assert_eq!(second.outcome.stats.executed, 0);
         assert_eq!(
@@ -823,52 +808,20 @@ mod tests {
         );
     }
 
-    /// Codec persisting the echo runner's `String` stage values.
-    struct EchoCodec;
-
-    impl ValueCodec for EchoCodec {
-        fn encode(&self, _kind: JobKind, value: &crate::JobValue) -> Option<Vec<u8>> {
-            value
-                .downcast_ref::<String>()
-                .map(|s| s.as_bytes().to_vec())
-        }
-
-        fn decode(&self, _kind: JobKind, bytes: &[u8]) -> Option<crate::JobValue> {
-            Some(Arc::new(String::from_utf8(bytes.to_vec()).ok()?) as crate::JobValue)
-        }
-    }
-
-    /// EchoRunner with on-disk persistence.
-    struct PersistentEcho;
-
-    impl CampaignRunner for PersistentEcho {
-        fn config_salt(&self) -> u64 {
-            7
-        }
-
-        fn codec(&self) -> Option<Arc<dyn ValueCodec>> {
-            Some(Arc::new(EchoCodec))
-        }
-
-        fn run(&self, job: &StageJob, ctx: &JobCtx<'_>) -> JobOutput {
-            EchoRunner.run(job, ctx)
-        }
-    }
-
     #[test]
     fn persistent_execution_reuses_the_store_across_executors() {
         let dir = crate::testing::TempDir::new("campaign-persist");
         let c = tiny();
 
         let cold = c
-            .execute_persistent(&PersistentEcho, ExecConfig::with_workers(2), &dir)
+            .execute_persistent(&ECHO, ExecConfig::with_workers(2), &dir)
             .unwrap();
         assert!(cold.outcome.all_succeeded());
         assert_eq!(cold.outcome.stats.executed, c.plan().len());
 
         // A fresh executor (≈ a fresh process) is served from disk.
         let warm = c
-            .execute_persistent(&PersistentEcho, ExecConfig::with_workers(2), &dir)
+            .execute_persistent(&ECHO, ExecConfig::with_workers(2), &dir)
             .unwrap();
         assert_eq!(warm.outcome.stats.disk_hits, c.plan().len());
         assert_eq!(warm.outcome.stats.executed, 0);
@@ -879,9 +832,7 @@ mod tests {
         );
 
         // Resume validates the shape and reports prior completions.
-        let (resumed, info) = c
-            .resume(&PersistentEcho, ExecConfig::with_workers(2), &dir)
-            .unwrap();
+        let (resumed, info) = c.resume(&ECHO, ExecConfig::with_workers(2), &dir).unwrap();
         assert!(info.prior_completed >= c.plan().len());
         assert!(!info.log_truncated);
         assert_eq!(
@@ -894,7 +845,7 @@ mod tests {
             .benchmarks(["x"])
             .key_sizes([4])
             .build();
-        let err = match other.resume(&PersistentEcho, ExecConfig::with_workers(1), &dir) {
+        let err = match other.resume(&ECHO, ExecConfig::with_workers(1), &dir) {
             Err(e) => e,
             Ok(_) => panic!("resuming a foreign log must fail"),
         };
@@ -953,8 +904,8 @@ mod tests {
             .benchmarks(["c1", "c2"])
             .key_sizes([8, 16])
             .build();
-        let fa = a.job_fingerprints(&EchoRunner);
-        let fb = b.job_fingerprints(&EchoRunner);
+        let fa = a.job_fingerprints(&ECHO);
+        let fb = b.job_fingerprints(&ECHO);
         let find = |c: &Campaign, fps: &[u64], label: &str| -> u64 {
             let i = c
                 .plan()
@@ -974,7 +925,7 @@ mod tests {
         // …while the dataset (whose input cone differs) does not.
         assert_eq!(
             find(&a, &fa, "dataset/antisat"),
-            find(&a, &a.job_fingerprints(&EchoRunner), "dataset/antisat"),
+            find(&a, &a.job_fingerprints(&ECHO), "dataset/antisat"),
         );
         assert_ne!(
             find(&a, &fa, "dataset/antisat"),

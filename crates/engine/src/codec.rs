@@ -120,6 +120,13 @@ impl<'a> ByteReader<'a> {
         self.pos == self.buf.len()
     }
 
+    /// Bytes not yet consumed: a bound on how many elements of at
+    /// least one byte each the payload can still hold, for sizing an
+    /// allocation from a count read off the payload.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         let s = self.buf.get(self.pos..self.pos.checked_add(n)?)?;
         self.pos += n;

@@ -174,7 +174,7 @@ impl LeaseManager {
         let shared = Arc::new(Shared {
             store,
             backend,
-            retry: RetryPolicy::from_env(),
+            retry: RetryPolicy::default(),
             owner: owner.into(),
             ttl: ttl.max(Duration::from_millis(20)),
             held: Mutex::new(HashMap::new()),

@@ -81,7 +81,7 @@ mod shard;
 mod store;
 pub mod testing;
 
-pub use backend::{backend_from_env, FileMeta, LocalDirBackend, StoreBackend, STORE_BACKEND_ENV};
+pub use backend::{FileMeta, LocalDirBackend, StoreBackend};
 pub use cache::{CacheSource, CacheStats, ResultCache};
 pub use campaign::{Campaign, CampaignBuilder, CampaignRun, CampaignRunner, ResumeInfo, StageJob};
 pub use cancel::CancelToken;
@@ -104,9 +104,7 @@ pub use pool::{default_workers, run_ordered, WORKERS_ENV};
 pub use report::{ReportOptions, RunReport, REPORT_SCHEMA_VERSION};
 pub use resilience::{
     degraded_error, is_degraded, BreakerState, HealthTracker, ResilientBackend, RetryPolicy,
-    DEGRADED_PREFIX, SPILL_CAP, STORE_BREAKER_PROBE_EVERY_ENV, STORE_BREAKER_THRESHOLD_ENV,
-    STORE_RETRY_ATTEMPTS_ENV, STORE_RETRY_BASE_MS_ENV, STORE_RETRY_DEADLINE_MS_ENV,
-    STORE_RETRY_JITTER_SEED_ENV,
+    DEGRADED_PREFIX, SPILL_CAP,
 };
 pub use shard::{
     execution_counts, merge_shard_events, shard_events_file, shard_replays, Elided, ShardConfig,

@@ -9,21 +9,20 @@
 //! - **[`RetryPolicy`]** — transient failures ([`io::ErrorKind::WouldBlock`],
 //!   `Interrupted`, `TimedOut`) retry with exponential backoff and
 //!   seeded jitter. The backoff schedule is a pure function of the
-//!   knobs and the attempt number — same knobs, same waits, at any
+//!   policy and the attempt number — same policy, same waits, at any
 //!   worker count — and every pause goes through
 //!   [`StoreBackend::backoff_wait`], so the fault decorator charges a
 //!   virtual clock instead of sleeping. A per-op deadline bounds the
-//!   total (virtual) pause budget; attempts and deadline are capped by
-//!   the `GNNUNLOCK_STORE_RETRY_*` knobs.
+//!   total (virtual) pause budget. Stores use
+//!   [`RetryPolicy::default`]; tests pass their own through
+//!   [`ResilientBackend::with_policy`].
 //! - **[`HealthTracker`]** — a consecutive-failure circuit breaker.
 //!   Only *exhausted* retries count as failures (verdict errors like
 //!   `AlreadyExists` or `NotFound` prove the service is answering);
-//!   after `GNNUNLOCK_STORE_BREAKER_THRESHOLD` of them the breaker
-//!   trips open and operations fail fast with a `store-degraded` error
-//!   instead of hammering a dead substrate. While open, every
-//!   `GNNUNLOCK_STORE_BREAKER_PROBE_EVERY`-th rejected operation is
-//!   admitted as a half-open probe; one probe success closes the
-//!   breaker.
+//!   after 3 of them the breaker trips open and operations fail fast
+//!   with a `store-degraded` error instead of hammering a dead
+//!   substrate. While open, every 8th rejected operation is admitted
+//!   as a half-open probe; one probe success closes the breaker.
 //! - **Publish spill queue** — publishes are content-addressed and
 //!   idempotent, so ones that fail degraded/exhausted are buffered (up
 //!   to [`SPILL_CAP`] entries) and replayed after the next successful
@@ -43,22 +42,6 @@ use std::time::{Duration, SystemTime};
 
 use crate::backend::{is_transient_kind, FileMeta, StoreBackend};
 use crate::metrics;
-
-/// Maximum retry attempts per logical operation (default 4; minimum 1).
-pub const STORE_RETRY_ATTEMPTS_ENV: &str = "GNNUNLOCK_STORE_RETRY_ATTEMPTS";
-/// First backoff pause in milliseconds (default 10; 0 disables pauses).
-pub const STORE_RETRY_BASE_MS_ENV: &str = "GNNUNLOCK_STORE_RETRY_BASE_MS";
-/// Per-operation budget for the *sum* of backoff pauses, in
-/// milliseconds (default 30000).
-pub const STORE_RETRY_DEADLINE_MS_ENV: &str = "GNNUNLOCK_STORE_RETRY_DEADLINE_MS";
-/// Seed for the deterministic backoff jitter (default 0x5EED).
-pub const STORE_RETRY_JITTER_SEED_ENV: &str = "GNNUNLOCK_STORE_RETRY_JITTER_SEED";
-/// Consecutive exhausted-retry failures that trip the breaker open
-/// (default 3; minimum 1).
-pub const STORE_BREAKER_THRESHOLD_ENV: &str = "GNNUNLOCK_STORE_BREAKER_THRESHOLD";
-/// While open, admit every n-th rejected operation as a half-open probe
-/// (default 8; minimum 1).
-pub const STORE_BREAKER_PROBE_EVERY_ENV: &str = "GNNUNLOCK_STORE_BREAKER_PROBE_EVERY";
 
 /// Marker prefix of every fail-fast error emitted while the breaker is
 /// open — what shard bodies and the daemon grep for.
@@ -85,9 +68,9 @@ pub fn is_degraded(e: &io::Error) -> bool {
 }
 
 /// Deterministic exponential backoff with seeded jitter, attempt caps
-/// and a per-op deadline. All parameters come from the
-/// `GNNUNLOCK_STORE_RETRY_*` knobs (malformed values warn via
-/// [`crate::env`] and fall back).
+/// and a per-op deadline. Stores run under [`RetryPolicy::default`]:
+/// 4 attempts, a 10 ms first pause, a 30 s deadline and jitter seed
+/// `0x5EED`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Maximum attempts per operation (>= 1).
@@ -114,33 +97,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// The policy selected by the `GNNUNLOCK_STORE_RETRY_*` knobs.
-    pub fn from_env() -> Self {
-        let d = RetryPolicy::default();
-        RetryPolicy {
-            attempts: crate::env::knob_validated::<u32>(
-                STORE_RETRY_ATTEMPTS_ENV,
-                "a positive attempt count",
-                |&n| n >= 1,
-            )
-            .unwrap_or(d.attempts),
-            base: Duration::from_millis(
-                crate::env::knob::<u64>(STORE_RETRY_BASE_MS_ENV, "milliseconds")
-                    .unwrap_or(d.base.as_millis() as u64),
-            ),
-            deadline: Duration::from_millis(
-                crate::env::knob_validated::<u64>(
-                    STORE_RETRY_DEADLINE_MS_ENV,
-                    "a positive millisecond budget",
-                    |&ms| ms >= 1,
-                )
-                .unwrap_or(d.deadline.as_millis() as u64),
-            ),
-            jitter_seed: crate::env::knob::<u64>(STORE_RETRY_JITTER_SEED_ENV, "an integer seed")
-                .unwrap_or(d.jitter_seed),
-        }
-    }
-
     /// The pause before retry attempt `attempt + 1` (1-based): the
     /// exponential step `base * 2^(attempt-1)` scaled into [50%, 100%]
     /// by jitter derived from `(jitter_seed, attempt)` alone.
@@ -244,34 +200,6 @@ impl HealthTracker {
         }
     }
 
-    /// The breaker selected by the `GNNUNLOCK_STORE_BREAKER_*` knobs.
-    pub fn from_env() -> Self {
-        HealthTracker::new(
-            crate::env::knob_validated::<u32>(
-                STORE_BREAKER_THRESHOLD_ENV,
-                "a positive failure threshold",
-                |&n| n >= 1,
-            )
-            .unwrap_or(3),
-            crate::env::knob_validated::<u32>(
-                STORE_BREAKER_PROBE_EVERY_ENV,
-                "a positive probe period",
-                |&n| n >= 1,
-            )
-            .unwrap_or(8),
-        )
-    }
-
-    /// Consecutive exhausted failures that trip the breaker.
-    pub fn threshold(&self) -> u32 {
-        self.threshold
-    }
-
-    /// Rejected operations between half-open probes while tripped.
-    pub fn probe_every(&self) -> u32 {
-        self.probe_every
-    }
-
     /// Current state.
     pub fn state(&self) -> BreakerState {
         self.inner.lock().unwrap().state
@@ -346,9 +274,10 @@ pub struct ResilientBackend {
 }
 
 impl ResilientBackend {
-    /// Wrap `inner` with the env-selected policy and breaker.
+    /// Wrap `inner` with the default policy and a breaker tripping
+    /// after 3 consecutive failures and probing every 8th rejection.
     pub fn wrap(inner: Arc<dyn StoreBackend>) -> Arc<Self> {
-        ResilientBackend::with_policy(inner, RetryPolicy::from_env(), HealthTracker::from_env())
+        ResilientBackend::with_policy(inner, RetryPolicy::default(), HealthTracker::new(3, 8))
     }
 
     /// Wrap `inner` with an explicit policy and breaker.

@@ -95,7 +95,7 @@ pub struct ShardConfig {
     /// `None` (the default) is the shared default namespace.
     pub namespace: Option<String>,
     /// Store backend this shard executes against. `None` (the default)
-    /// is the local filesystem ([`crate::backend_from_env`]). Tests pass
+    /// is the local filesystem ([`crate::LocalDirBackend`]). Tests pass
     /// a shared [`crate::testing::Faulty`] backend here to run whole
     /// sharded campaigns under injected faults.
     pub backend: Option<Arc<dyn StoreBackend>>,
@@ -575,41 +575,9 @@ mod tests {
     use crate::campaign::StageJob;
     use crate::codec::ValueCodec;
     use crate::report::ReportOptions;
-    use crate::testing::TempDir;
+    use crate::testing::{Echo, StringCodec, TempDir};
 
-    /// Echo runner + string codec (mirrors the campaign tests').
-    struct Echo;
-
-    struct EchoCodec;
-
-    impl ValueCodec for EchoCodec {
-        fn encode(&self, _kind: JobKind, value: &JobValue) -> Option<Vec<u8>> {
-            value
-                .downcast_ref::<String>()
-                .map(|s| s.as_bytes().to_vec())
-        }
-
-        fn decode(&self, _kind: JobKind, bytes: &[u8]) -> Option<JobValue> {
-            Some(Arc::new(String::from_utf8(bytes.to_vec()).ok()?) as JobValue)
-        }
-    }
-
-    impl CampaignRunner for Echo {
-        fn config_salt(&self) -> u64 {
-            7
-        }
-
-        fn codec(&self) -> Option<Arc<dyn ValueCodec>> {
-            Some(Arc::new(EchoCodec))
-        }
-
-        fn run(&self, job: &StageJob, ctx: &JobCtx<'_>) -> JobOutput {
-            let inputs: Vec<String> = (0..ctx.deps.len())
-                .map(|i| ctx.dep::<String>(i).as_ref().clone())
-                .collect();
-            Ok(Arc::new(format!("{}<-[{}]", job.label(), inputs.join(";"))) as JobValue)
-        }
-    }
+    const ECHO: Echo = Echo { salt: 7 };
 
     fn tiny() -> Campaign {
         Campaign::builder("sharded-tiny")
@@ -627,7 +595,7 @@ mod tests {
 
         // Single-process reference.
         let reference = campaign
-            .execute_persistent(&Echo, ExecConfig::with_workers(2), &ref_dir)
+            .execute_persistent(&ECHO, ExecConfig::with_workers(2), &ref_dir)
             .unwrap();
         let reference_report = reference.report(ReportOptions::default()).to_json();
 
@@ -635,7 +603,7 @@ mod tests {
         // finalizer (it claims the aggregate).
         let cold = campaign
             .execute_sharded(
-                &Echo,
+                &ECHO,
                 ExecConfig::with_workers(2),
                 &dir,
                 &ShardConfig::new("s0"),
@@ -654,7 +622,7 @@ mod tests {
         // Warm re-shard: pure disk hits, no claims, no finalizer.
         let warm = campaign
             .execute_sharded(
-                &Echo,
+                &ECHO,
                 ExecConfig::with_workers(2),
                 &dir,
                 &ShardConfig::new("s1"),
@@ -698,14 +666,14 @@ mod tests {
         struct SlowEcho;
         impl CampaignRunner for SlowEcho {
             fn config_salt(&self) -> u64 {
-                7
+                ECHO.config_salt()
             }
             fn codec(&self) -> Option<Arc<dyn ValueCodec>> {
-                Some(Arc::new(EchoCodec))
+                ECHO.codec()
             }
             fn run(&self, job: &StageJob, ctx: &JobCtx<'_>) -> JobOutput {
                 std::thread::sleep(Duration::from_millis(60));
-                Echo.run(job, ctx)
+                ECHO.run(job, ctx)
             }
         }
 
@@ -735,7 +703,7 @@ mod tests {
                 let job0 = job0.clone();
                 std::thread::spawn(move || {
                     std::thread::sleep(Duration::from_millis(400));
-                    let cache = ResultCache::with_disk(store, Arc::new(EchoCodec));
+                    let cache = ResultCache::with_disk(store, Arc::new(StringCodec));
                     let cancel = crate::CancelToken::new();
                     let ctx = JobCtx {
                         deps: &[],
@@ -785,7 +753,7 @@ mod tests {
         struct NoCodec;
         impl CampaignRunner for NoCodec {
             fn run(&self, job: &StageJob, ctx: &JobCtx<'_>) -> JobOutput {
-                Echo.run(job, ctx)
+                ECHO.run(job, ctx)
             }
         }
         let dir = TempDir::new("shard-no-codec");

@@ -43,9 +43,7 @@
 //!   store written by an incompatible schema fails loudly instead of
 //!   misreading entries.
 
-use crate::backend::{
-    backend_from_env, is_transient_kind, FileMeta, LocalDirBackend, StoreBackend,
-};
+use crate::backend::{is_transient_kind, FileMeta, LocalDirBackend, StoreBackend};
 use crate::graph::{fingerprint, JobKind};
 use crate::metrics;
 use crate::resilience::{ResilientBackend, RetryPolicy};
@@ -209,7 +207,7 @@ impl DiskStore {
         // resilience layer: deterministic transient retries, a circuit
         // breaker, and the publish spill queue.
         let backend: Arc<dyn StoreBackend> =
-            ResilientBackend::wrap(backend.unwrap_or_else(backend_from_env));
+            ResilientBackend::wrap(backend.unwrap_or_else(|| Arc::new(LocalDirBackend::new())));
         backend.ensure_dir(dir)?;
         let version_path = dir.join(VERSION_FILE);
         // The gate runs under the shared RetryPolicy: a torn observation
@@ -217,7 +215,7 @@ impl DiskStore {
         // serving a partial page) says nothing about the schema, so it
         // is surfaced as a transient error the policy retries. Only a
         // stable verdict (match, mismatch, hard I/O failure) escapes.
-        RetryPolicy::from_env().run(backend.as_ref(), "version_gate", || {
+        RetryPolicy::default().run(backend.as_ref(), "version_gate", || {
             match backend.load(&version_path) {
                 Ok(found) if found == VERSION_TEXT.as_bytes() => Ok(()),
                 Ok(found) if VERSION_TEXT.as_bytes().starts_with(&found[..]) => Err(

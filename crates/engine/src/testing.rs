@@ -1,7 +1,8 @@
 //! Test support shared by the engine's own tests and every crate that
 //! tests against it: the [`Faulty`] fault injector with its [`Fault`]
-//! vocabulary, the in-memory [`ObjectStoreBackend`], and unique
-//! [`TempDir`]s. No production path uses this module.
+//! vocabulary, the in-memory [`ObjectStoreBackend`], unique
+//! [`TempDir`]s, and the toy [`Echo`] campaign runner with its
+//! [`StringCodec`]. No production path uses this module.
 //!
 //! [`Faulty`] decorates any [`StoreBackend`] — the [`LocalDirBackend`]
 //! a real campaign persists through, or the in-memory
@@ -26,6 +27,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::backend::{FileMeta, LocalDirBackend, StoreBackend};
+use crate::campaign::{CampaignRunner, StageJob};
+use crate::codec::ValueCodec;
+use crate::graph::{JobCtx, JobKind, JobOutput, JobValue};
 pub use crate::object::ObjectStoreBackend;
 
 /// The operation an injected fault targets.
@@ -597,6 +601,50 @@ impl Deref for TempDir {
 impl Drop for TempDir {
     fn drop(&mut self) {
         let _ = fs::remove_dir_all(&self.path);
+    }
+}
+
+/// A [`ValueCodec`] for `String` job values, stored as their UTF-8
+/// bytes; every other value is declined.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StringCodec;
+
+impl ValueCodec for StringCodec {
+    fn encode(&self, _kind: JobKind, value: &JobValue) -> Option<Vec<u8>> {
+        value
+            .downcast_ref::<String>()
+            .map(|s| s.as_bytes().to_vec())
+    }
+
+    fn decode(&self, _kind: JobKind, bytes: &[u8]) -> Option<JobValue> {
+        Some(Arc::new(String::from_utf8(bytes.to_vec()).ok()?) as JobValue)
+    }
+}
+
+/// The toy campaign runner: every stage's value is the string
+/// `"<label><-[<dependency values joined by ;>]"`, so an aggregate
+/// spells out its whole dependency story, and every value persists
+/// through [`StringCodec`].
+#[derive(Debug, Clone, Copy)]
+pub struct Echo {
+    /// The runner's [`CampaignRunner::config_salt`].
+    pub salt: u64,
+}
+
+impl CampaignRunner for Echo {
+    fn config_salt(&self) -> u64 {
+        self.salt
+    }
+
+    fn codec(&self) -> Option<Arc<dyn ValueCodec>> {
+        Some(Arc::new(StringCodec))
+    }
+
+    fn run(&self, job: &StageJob, ctx: &JobCtx<'_>) -> JobOutput {
+        let inputs: Vec<String> = (0..ctx.deps.len())
+            .map(|i| ctx.dep::<String>(i).as_ref().clone())
+            .collect();
+        Ok(Arc::new(format!("{}<-[{}]", job.label(), inputs.join(";"))) as JobValue)
     }
 }
 

@@ -10,46 +10,14 @@
 //! each backend: a [`DiskStore`] shared by two handles, and a sharded
 //! campaign run cold then warm.
 
-use gnnunlock_engine::testing::{Faulty, ObjectStoreBackend, TempDir};
+use gnnunlock_engine::testing::{Echo, Faulty, ObjectStoreBackend, TempDir};
 use gnnunlock_engine::{
-    execution_counts, shard_replays, tenant_usage_with, Campaign, CampaignRunner, DiskStore,
-    ExecConfig, JobCtx, JobKind, JobOutput, JobValue, LocalDirBackend, ReportOptions, ShardConfig,
-    StageJob, StoreBackend, ValueCodec,
+    execution_counts, shard_replays, tenant_usage_with, Campaign, DiskStore, ExecConfig, JobKind,
+    LocalDirBackend, ReportOptions, ShardConfig, StoreBackend,
 };
 use std::sync::Arc;
 
-struct Echo;
-
-struct EchoCodec;
-
-impl ValueCodec for EchoCodec {
-    fn encode(&self, _kind: JobKind, value: &JobValue) -> Option<Vec<u8>> {
-        value
-            .downcast_ref::<String>()
-            .map(|s| s.as_bytes().to_vec())
-    }
-
-    fn decode(&self, _kind: JobKind, bytes: &[u8]) -> Option<JobValue> {
-        Some(Arc::new(String::from_utf8(bytes.to_vec()).ok()?) as JobValue)
-    }
-}
-
-impl CampaignRunner for Echo {
-    fn config_salt(&self) -> u64 {
-        7
-    }
-
-    fn codec(&self) -> Option<Arc<dyn ValueCodec>> {
-        Some(Arc::new(EchoCodec))
-    }
-
-    fn run(&self, job: &StageJob, ctx: &JobCtx<'_>) -> JobOutput {
-        let inputs: Vec<String> = (0..ctx.deps.len())
-            .map(|i| ctx.dep::<String>(i).as_ref().clone())
-            .collect();
-        Ok(Arc::new(format!("{}<-[{}]", job.label(), inputs.join(";"))) as JobValue)
-    }
-}
+const ECHO: Echo = Echo { salt: 7 };
 
 /// The implementations under conformance, each with its own root.
 fn conformance_backends(tag: &str) -> Vec<(&'static str, Arc<dyn StoreBackend>, TempDir)> {
@@ -257,13 +225,13 @@ fn sharded_toy_campaign_completes_on_every_backend() {
     for (name, backend, root) in conformance_backends("sharded") {
         let shard = |id: &str| ShardConfig::new(id).with_backend(backend.clone());
         let cold = campaign
-            .execute_sharded(&Echo, ExecConfig::with_workers(2), &root, &shard("s0"))
+            .execute_sharded(&ECHO, ExecConfig::with_workers(2), &root, &shard("s0"))
             .unwrap();
         assert!(cold.run.outcome.all_succeeded(), "{name}");
         let report = cold.run.report(ReportOptions::default()).to_json();
 
         let warm = campaign
-            .execute_sharded(&Echo, ExecConfig::with_workers(2), &root, &shard("s1"))
+            .execute_sharded(&ECHO, ExecConfig::with_workers(2), &root, &shard("s1"))
             .unwrap();
         assert!(warm.run.outcome.all_succeeded(), "{name}");
         assert_eq!(

@@ -18,51 +18,18 @@
 //! tomb file is left wedged.
 
 use gnnunlock_engine::testing::{
-    on_each_substrate, recoverable_schedule, Fault, FaultOp, FaultRule, Faulty, ObjectStoreBackend,
-    TempDir,
+    on_each_substrate, recoverable_schedule, Echo, Fault, FaultOp, FaultRule, Faulty,
+    ObjectStoreBackend, TempDir,
 };
 use gnnunlock_engine::{
-    execution_counts, shard_replays, Campaign, CampaignRunner, Claim, DiskStore, ExecConfig,
-    JobCtx, JobKind, JobOutput, JobStatus, JobValue, LeaseManager, ReportOptions, ShardConfig,
-    StageJob, StoreBackend, ValueCodec, DEGRADED_PREFIX,
+    execution_counts, shard_replays, Campaign, Claim, DiskStore, ExecConfig, JobKind, JobStatus,
+    LeaseManager, ReportOptions, ShardConfig, StoreBackend, DEGRADED_PREFIX,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Echo runner + string codec (mirrors the shard/campaign unit tests').
-struct Echo;
-
-struct EchoCodec;
-
-impl ValueCodec for EchoCodec {
-    fn encode(&self, _kind: JobKind, value: &JobValue) -> Option<Vec<u8>> {
-        value
-            .downcast_ref::<String>()
-            .map(|s| s.as_bytes().to_vec())
-    }
-
-    fn decode(&self, _kind: JobKind, bytes: &[u8]) -> Option<JobValue> {
-        Some(Arc::new(String::from_utf8(bytes.to_vec()).ok()?) as JobValue)
-    }
-}
-
-impl CampaignRunner for Echo {
-    fn config_salt(&self) -> u64 {
-        7
-    }
-
-    fn codec(&self) -> Option<Arc<dyn ValueCodec>> {
-        Some(Arc::new(EchoCodec))
-    }
-
-    fn run(&self, job: &StageJob, ctx: &JobCtx<'_>) -> JobOutput {
-        let inputs: Vec<String> = (0..ctx.deps.len())
-            .map(|i| ctx.dep::<String>(i).as_ref().clone())
-            .collect();
-        Ok(Arc::new(format!("{}<-[{}]", job.label(), inputs.join(";"))) as JobValue)
-    }
-}
+const ECHO: Echo = Echo { salt: 7 };
 
 fn toy() -> Campaign {
     Campaign::builder("fault-matrix")
@@ -78,7 +45,7 @@ fn reference_report() -> String {
     let backend = Arc::new(ObjectStoreBackend::new());
     let run = toy()
         .execute_sharded(
-            &Echo,
+            &ECHO,
             ExecConfig::with_workers(2),
             &dir,
             &ShardConfig::new("ref").with_backend(backend),
@@ -101,7 +68,7 @@ fn run_survivors<B: StoreBackend + 'static>(
     for i in 0..shards {
         let run = toy()
             .execute_sharded(
-                &Echo,
+                &ECHO,
                 ExecConfig::with_workers(2),
                 dir,
                 &ShardConfig::new(format!("s{i}"))
@@ -175,7 +142,7 @@ fn victim_setup<B: StoreBackend + 'static>(
     let victim = LeaseManager::new(store.clone(), "victim", ttl);
     let campaign = toy();
     let plan = campaign.plan();
-    let fps = campaign.job_fingerprints(&Echo);
+    let fps = campaign.job_fingerprints(&ECHO);
     let (job0, deps0) = &plan[0];
     assert!(deps0.is_empty(), "plan[0] must be a ready root");
     let lease = victim.lease_path(job0.kind, fps[0]);
@@ -449,7 +416,7 @@ fn recoverable_fault_soak_never_diverges_the_report() {
         for i in 0..2 {
             let run = toy()
                 .execute_sharded(
-                    &Echo,
+                    &ECHO,
                     ExecConfig::with_workers(2),
                     dir,
                     &ShardConfig::new(format!("s{i}")).with_backend(backend.clone()),
@@ -539,7 +506,7 @@ fn sustained_store_outage_fails_cleanly_and_recovers() {
 
         let run = toy()
             .execute_sharded(
-                &Echo,
+                &ECHO,
                 ExecConfig::with_workers(2),
                 dir,
                 &ShardConfig::new("s0")

@@ -5,7 +5,7 @@
 //! threads is undefined behavior on glibc. One test function, so there
 //! are no sibling threads.
 
-use gnnunlock::engine::testing::TempDir;
+use gnnunlock::engine::testing::{StringCodec, TempDir};
 use gnnunlock::engine::{
     cache_budget_from_env, Campaign, CampaignRunner, DiskStore, JobCtx, JobKind, JobOutput,
     JobValue, StageJob, ValueCodec, CACHE_BUDGET_ENV,
@@ -13,20 +13,6 @@ use gnnunlock::engine::{
 use gnnunlock::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, SystemTime};
-
-struct ToyCodec;
-
-impl ValueCodec for ToyCodec {
-    fn encode(&self, _kind: JobKind, value: &JobValue) -> Option<Vec<u8>> {
-        value
-            .downcast_ref::<String>()
-            .map(|s| s.as_bytes().to_vec())
-    }
-
-    fn decode(&self, _kind: JobKind, bytes: &[u8]) -> Option<JobValue> {
-        Some(Arc::new(String::from_utf8(bytes.to_vec()).ok()?) as JobValue)
-    }
-}
 
 /// Echo runner with a configurable salt, so two "configurations" write
 /// disjoint entry sets into one store.
@@ -38,7 +24,7 @@ impl CampaignRunner for SaltedToy {
     }
 
     fn codec(&self) -> Option<Arc<dyn ValueCodec>> {
-        Some(Arc::new(ToyCodec))
+        Some(Arc::new(StringCodec))
     }
 
     fn run(&self, job: &StageJob, _ctx: &JobCtx<'_>) -> JobOutput {

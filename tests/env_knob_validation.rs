@@ -8,7 +8,7 @@
 //! threads.
 
 use gnnunlock::engine::{
-    apply_telemetry_env, backend_from_env, cache_budget_from_env, default_workers, knob_warnings,
+    apply_telemetry_env, cache_budget_from_env, default_workers, knob_warnings,
     telemetry_enabled_from_env, trace_out_from_env, JobGraph, JobKind, JobValue, ShardConfig,
 };
 use gnnunlock::prelude::*;
@@ -103,77 +103,6 @@ fn malformed_knobs_warn_and_fall_back() {
     // Applying the (unset) knob flips the process switch back on for
     // the rest of this binary.
     apply_telemetry_env();
-
-    // --- store retry policy: malformed or non-positive values warn
-    // and fall back to the documented defaults (4 attempts, 10 ms
-    // base, 30 s deadline, seed 0x5EED); valid values are parsed.
-    use gnnunlock::engine::resilience::{HealthTracker, RetryPolicy};
-    let defaults = RetryPolicy::default();
-    let warnings_before = knob_warnings();
-    std::env::set_var("GNNUNLOCK_STORE_RETRY_ATTEMPTS", "0");
-    std::env::set_var("GNNUNLOCK_STORE_RETRY_BASE_MS", "fast");
-    std::env::set_var("GNNUNLOCK_STORE_RETRY_DEADLINE_MS", "-1");
-    std::env::set_var("GNNUNLOCK_STORE_RETRY_JITTER_SEED", "coin-flip");
-    let policy = RetryPolicy::from_env();
-    assert_eq!(policy.attempts, defaults.attempts);
-    assert_eq!(policy.base, defaults.base);
-    assert_eq!(policy.deadline, defaults.deadline);
-    assert_eq!(policy.jitter_seed, defaults.jitter_seed);
-    assert_eq!(
-        knob_warnings(),
-        warnings_before + 4,
-        "each malformed retry knob must warn once"
-    );
-    std::env::set_var("GNNUNLOCK_STORE_RETRY_ATTEMPTS", "7");
-    std::env::set_var("GNNUNLOCK_STORE_RETRY_BASE_MS", "25");
-    std::env::set_var("GNNUNLOCK_STORE_RETRY_DEADLINE_MS", "5000");
-    std::env::set_var("GNNUNLOCK_STORE_RETRY_JITTER_SEED", "42");
-    let policy = RetryPolicy::from_env();
-    assert_eq!(policy.attempts, 7);
-    assert_eq!(policy.base, Duration::from_millis(25));
-    assert_eq!(policy.deadline, Duration::from_millis(5000));
-    assert_eq!(policy.jitter_seed, 42);
-    for knob in [
-        "GNNUNLOCK_STORE_RETRY_ATTEMPTS",
-        "GNNUNLOCK_STORE_RETRY_BASE_MS",
-        "GNNUNLOCK_STORE_RETRY_DEADLINE_MS",
-        "GNNUNLOCK_STORE_RETRY_JITTER_SEED",
-    ] {
-        std::env::remove_var(knob);
-    }
-    assert_eq!(RetryPolicy::from_env().attempts, defaults.attempts);
-
-    // --- store circuit breaker: zero thresholds are invalid -> warn +
-    // defaults (trip after 3, probe every 8th rejection).
-    let warnings_before = knob_warnings();
-    std::env::set_var("GNNUNLOCK_STORE_BREAKER_THRESHOLD", "0");
-    std::env::set_var("GNNUNLOCK_STORE_BREAKER_PROBE_EVERY", "often");
-    let breaker = HealthTracker::from_env();
-    assert_eq!(breaker.threshold(), 3);
-    assert_eq!(breaker.probe_every(), 8);
-    assert_eq!(knob_warnings(), warnings_before + 2);
-    std::env::set_var("GNNUNLOCK_STORE_BREAKER_THRESHOLD", "5");
-    std::env::set_var("GNNUNLOCK_STORE_BREAKER_PROBE_EVERY", "2");
-    let breaker = HealthTracker::from_env();
-    assert_eq!(breaker.threshold(), 5);
-    assert_eq!(breaker.probe_every(), 2);
-    std::env::remove_var("GNNUNLOCK_STORE_BREAKER_THRESHOLD");
-    std::env::remove_var("GNNUNLOCK_STORE_BREAKER_PROBE_EVERY");
-
-    // --- store backend: `local` is the only value; the retired
-    // `memory` and `object` values warn and fall back to `local`.
-    let warnings_before = knob_warnings();
-    std::env::set_var("GNNUNLOCK_STORE_BACKEND", "memory");
-    assert_eq!(backend_from_env().name(), "local");
-    assert_eq!(knob_warnings(), warnings_before + 1, "`memory` must warn");
-    std::env::set_var("GNNUNLOCK_STORE_BACKEND", "object");
-    assert_eq!(backend_from_env().name(), "local");
-    assert_eq!(knob_warnings(), warnings_before + 2, "`object` must warn");
-    std::env::set_var("GNNUNLOCK_STORE_BACKEND", "local");
-    assert_eq!(backend_from_env().name(), "local");
-    assert_eq!(knob_warnings(), warnings_before + 2, "`local` is valid");
-    std::env::remove_var("GNNUNLOCK_STORE_BACKEND");
-    assert_eq!(backend_from_env().name(), "local");
 
     // --- trace output override: a plain path pass-through.
     std::env::remove_var("GNNUNLOCK_TRACE_OUT");

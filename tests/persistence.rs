@@ -5,10 +5,9 @@
 //! byte-identical default report whether it is computed cold, served
 //! warm from a shared cache directory, or killed mid-run and resumed.**
 
-use gnnunlock::engine::testing::TempDir;
+use gnnunlock::engine::testing::{Echo, TempDir};
 use gnnunlock::engine::{
-    Campaign, CampaignRunner, EventLog, JobCtx, JobOutput, JobValue, StageJob, ValueCodec,
-    EVENTS_FILE,
+    Campaign, CampaignRunner, EventLog, JobCtx, JobOutput, StageJob, ValueCodec, EVENTS_FILE,
 };
 use gnnunlock::gnn::{SaintConfig, TrainConfig};
 use gnnunlock::prelude::*;
@@ -21,38 +20,7 @@ use std::sync::Arc;
 // every job is persistable, so store behavior is fully observable.
 // ---------------------------------------------------------------------
 
-struct ToyCodec;
-
-impl ValueCodec for ToyCodec {
-    fn encode(&self, _kind: gnnunlock::engine::JobKind, value: &JobValue) -> Option<Vec<u8>> {
-        value
-            .downcast_ref::<String>()
-            .map(|s| s.as_bytes().to_vec())
-    }
-
-    fn decode(&self, _kind: gnnunlock::engine::JobKind, bytes: &[u8]) -> Option<JobValue> {
-        Some(Arc::new(String::from_utf8(bytes.to_vec()).ok()?) as JobValue)
-    }
-}
-
-struct ToyRunner;
-
-impl CampaignRunner for ToyRunner {
-    fn config_salt(&self) -> u64 {
-        42
-    }
-
-    fn codec(&self) -> Option<Arc<dyn ValueCodec>> {
-        Some(Arc::new(ToyCodec))
-    }
-
-    fn run(&self, job: &StageJob, ctx: &JobCtx<'_>) -> JobOutput {
-        let inputs: Vec<String> = (0..ctx.deps.len())
-            .map(|i| ctx.dep::<String>(i).as_ref().clone())
-            .collect();
-        Ok(Arc::new(format!("{}<-[{}]", job.label(), inputs.join(";"))) as JobValue)
-    }
-}
+const TOY: Echo = Echo { salt: 42 };
 
 /// A runner that cancels the run after `n` completed jobs — an
 /// in-process stand-in for `kill -9` mid-campaign: the store keeps what
@@ -64,15 +32,15 @@ struct KillAfter {
 
 impl CampaignRunner for KillAfter {
     fn config_salt(&self) -> u64 {
-        ToyRunner.config_salt()
+        TOY.config_salt()
     }
 
     fn codec(&self) -> Option<Arc<dyn ValueCodec>> {
-        ToyRunner.codec()
+        TOY.codec()
     }
 
     fn run(&self, job: &StageJob, ctx: &JobCtx<'_>) -> JobOutput {
-        let out = ToyRunner.run(job, ctx);
+        let out = TOY.run(job, ctx);
         if self.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
             self.token.cancel();
         }
@@ -95,15 +63,15 @@ fn cold_warm_and_plain_reports_are_byte_identical() {
     let campaign = toy_campaign();
 
     // Reference: a plain in-memory run.
-    let plain = campaign.execute(&ToyRunner, &Executor::new(ExecConfig::with_workers(2)));
+    let plain = campaign.execute(&TOY, &Executor::new(ExecConfig::with_workers(2)));
     // Cold persistent run.
     let cold = campaign
-        .execute_persistent(&ToyRunner, ExecConfig::with_workers(2), &dir)
+        .execute_persistent(&TOY, ExecConfig::with_workers(2), &dir)
         .unwrap();
     assert_eq!(cold.outcome.stats.executed, campaign.plan().len());
     // Warm run in a "new process" (fresh executor, same directory).
     let warm = campaign
-        .execute_persistent(&ToyRunner, ExecConfig::with_workers(4), &dir)
+        .execute_persistent(&TOY, ExecConfig::with_workers(4), &dir)
         .unwrap();
     assert_eq!(warm.outcome.stats.disk_hits, campaign.plan().len());
     assert_eq!(warm.outcome.stats.executed, 0);
@@ -130,7 +98,7 @@ fn killed_campaign_resumes_to_identical_report() {
 
     // Reference: uninterrupted persistent run.
     let reference = campaign
-        .execute_persistent(&ToyRunner, ExecConfig::with_workers(1), &uninterrupted_dir)
+        .execute_persistent(&TOY, ExecConfig::with_workers(1), &uninterrupted_dir)
         .unwrap();
     let reference_report = reference.report(ReportOptions::default()).to_json();
 
@@ -155,7 +123,7 @@ fn killed_campaign_resumes_to_identical_report() {
 
     // Resume: completed jobs come off disk, the rest recompute.
     let (resumed, info) = campaign
-        .resume(&ToyRunner, ExecConfig::with_workers(2), &interrupted_dir)
+        .resume(&TOY, ExecConfig::with_workers(2), &interrupted_dir)
         .unwrap();
     assert!(info.log_truncated, "torn tail must be detected");
     assert_eq!(info.prior_completed, kill_after);
@@ -189,7 +157,7 @@ fn corrupted_cache_entries_are_evicted_and_recomputed() {
     let total = campaign.plan().len();
 
     let cold = campaign
-        .execute_persistent(&ToyRunner, ExecConfig::with_workers(2), &dir)
+        .execute_persistent(&TOY, ExecConfig::with_workers(2), &dir)
         .unwrap();
     let reference = cold.report(ReportOptions::default()).to_json();
 
@@ -206,7 +174,7 @@ fn corrupted_cache_entries_are_evicted_and_recomputed() {
     // Warm run: the two bad entries are detected, evicted and
     // recomputed — never trusted.
     let warm = campaign
-        .execute_persistent(&ToyRunner, ExecConfig::with_workers(2), &dir)
+        .execute_persistent(&TOY, ExecConfig::with_workers(2), &dir)
         .unwrap();
     assert!(warm.outcome.all_succeeded());
     assert_eq!(warm.outcome.stats.disk_hits, total - 2);
@@ -215,7 +183,7 @@ fn corrupted_cache_entries_are_evicted_and_recomputed() {
 
     // Eviction happened on disk and was recounted on recompute.
     let again = campaign
-        .execute_persistent(&ToyRunner, ExecConfig::with_workers(2), &dir)
+        .execute_persistent(&TOY, ExecConfig::with_workers(2), &dir)
         .unwrap();
     assert_eq!(again.outcome.stats.disk_hits, total);
 }
@@ -246,7 +214,7 @@ fn job_panics_surface_in_the_event_log_with_their_id() {
             if job.label() == "train/antisat/c1" {
                 panic!("training diverged on {}", job.label());
             }
-            ToyRunner.run(job, ctx)
+            TOY.run(job, ctx)
         }
     }
 

@@ -9,10 +9,10 @@
 //! directory renders the same report as a single-process run, with no
 //! job body completed on more than one shard.
 
-use gnnunlock::engine::testing::TempDir;
+use gnnunlock::engine::testing::{Echo, TempDir};
 use gnnunlock::engine::{
     execution_counts, shard_replays, Campaign, CampaignRunner, Event, EventLog, JobCtx, JobOutput,
-    JobValue, StageJob, ValueCodec,
+    StageJob, ValueCodec,
 };
 use gnnunlock::gnn::{SaintConfig, TrainConfig};
 use gnnunlock::prelude::*;
@@ -25,51 +25,31 @@ use std::time::{Duration, Instant};
 // optional stall (a job body that never returns) for the SIGKILL test.
 // ---------------------------------------------------------------------
 
-struct ToyCodec;
+const TOY: Echo = Echo { salt: 77 };
 
-impl ValueCodec for ToyCodec {
-    fn encode(&self, _kind: gnnunlock::engine::JobKind, value: &JobValue) -> Option<Vec<u8>> {
-        value
-            .downcast_ref::<String>()
-            .map(|s| s.as_bytes().to_vec())
-    }
-
-    fn decode(&self, _kind: gnnunlock::engine::JobKind, bytes: &[u8]) -> Option<JobValue> {
-        Some(Arc::new(String::from_utf8(bytes.to_vec()).ok()?) as JobValue)
-    }
+/// [`TOY`], except that the body of the job labelled `label` hangs
+/// forever (until the process is killed) — the stand-in for a worker
+/// wedged mid-job.
+struct StallOn {
+    label: String,
 }
 
-struct ToyRunner {
-    /// Label whose body should hang forever (until the process is
-    /// killed) — the stand-in for a worker wedged mid-job.
-    stall_label: Option<String>,
-}
-
-impl ToyRunner {
-    fn plain() -> Self {
-        ToyRunner { stall_label: None }
-    }
-}
-
-impl CampaignRunner for ToyRunner {
+impl CampaignRunner for StallOn {
     fn config_salt(&self) -> u64 {
-        77
+        TOY.config_salt()
     }
 
     fn codec(&self) -> Option<Arc<dyn ValueCodec>> {
-        Some(Arc::new(ToyCodec))
+        TOY.codec()
     }
 
     fn run(&self, job: &StageJob, ctx: &JobCtx<'_>) -> JobOutput {
-        if self.stall_label.as_deref() == Some(job.label().as_str()) {
+        if job.label() == self.label {
             loop {
                 std::thread::sleep(Duration::from_millis(50));
             }
         }
-        let inputs: Vec<String> = (0..ctx.deps.len())
-            .map(|i| ctx.dep::<String>(i).as_ref().clone())
-            .collect();
-        Ok(Arc::new(format!("{}<-[{}]", job.label(), inputs.join(";"))) as JobValue)
+        TOY.run(job, ctx)
     }
 }
 
@@ -89,10 +69,7 @@ fn three_shards_split_one_campaign_without_double_work() {
 
     // Reference: plain in-memory run (byte-identity across *modes* is
     // the whole point, not just across shard counts).
-    let reference = campaign.execute(
-        &ToyRunner::plain(),
-        &Executor::new(ExecConfig::with_workers(2)),
-    );
+    let reference = campaign.execute(&TOY, &Executor::new(ExecConfig::with_workers(2)));
     let reference_report = reference.report(ReportOptions::default()).to_json();
 
     // Three concurrent shards over one directory. Threads emulate
@@ -107,7 +84,7 @@ fn three_shards_split_one_campaign_without_double_work() {
                 scope.spawn(move || {
                     let sharded = campaign
                         .execute_sharded(
-                            &ToyRunner::plain(),
+                            &TOY,
                             ExecConfig::with_workers(2),
                             dir,
                             &ShardConfig::new(format!("t{i}")),
@@ -150,7 +127,7 @@ fn three_shards_split_one_campaign_without_double_work() {
 fn probe_ahead_elides_interior_stages_nobody_needs() {
     let dir = TempDir::new("sharded-probe-ahead");
     let campaign = toy_campaign();
-    let runner = ToyRunner::plain();
+    let runner = TOY;
 
     // Fully warm store...
     let cold = campaign
@@ -260,9 +237,7 @@ fn toy_stall_worker_entry() {
     ) else {
         return; // normal test run: nothing to do
     };
-    let runner = ToyRunner {
-        stall_label: Some(stall),
-    };
+    let runner = StallOn { label: stall };
     // Single worker: jobs proceed in plan order until the stall wedges
     // the only worker thread while it holds the job's lease.
     let _ = toy_campaign().execute_sharded(
@@ -283,7 +258,7 @@ fn sigkill_mid_job_is_taken_over_and_completed() {
 
     // Reference report from an uninterrupted single-process run.
     let reference = campaign
-        .execute_persistent(&ToyRunner::plain(), ExecConfig::with_workers(1), &ref_dir)
+        .execute_persistent(&TOY, ExecConfig::with_workers(1), &ref_dir)
         .unwrap();
     let reference_report = reference.report(ReportOptions::default()).to_json();
 
@@ -326,7 +301,7 @@ fn sigkill_mid_job_is_taken_over_and_completed() {
     // completes the campaign.
     let survivor = campaign
         .execute_sharded(
-            &ToyRunner::plain(),
+            &TOY,
             ExecConfig::with_workers(2),
             &dir,
             &ShardConfig::new("survivor").with_ttl(Duration::from_millis(300)),

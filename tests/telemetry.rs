@@ -10,53 +10,19 @@
 //! - The Prometheus text exposition is pinned by a golden file
 //!   (regenerate with `GNNUNLOCK_UPDATE_GOLDEN=1`).
 
-use gnnunlock::engine::testing::TempDir;
-use gnnunlock::engine::{
-    Campaign, CampaignRunner, JobCtx, JobOutput, JobValue, Json, StageJob, ValueCodec,
-};
+use gnnunlock::engine::testing::{Echo, TempDir};
+use gnnunlock::engine::{Campaign, Json};
 use gnnunlock::prelude::*;
 use gnnunlock::telemetry::{Registry, SpanRecord, DURATION_BUCKETS};
 use gnnunlock_bench::perf::validate_trace_doc;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 // Toy echo campaign (mirrors tests/sharded.rs): every value is a
 // persistable string, so the same campaign runs in-memory, persistent
 // and sharded.
 
-struct ToyCodec;
-
-impl ValueCodec for ToyCodec {
-    fn encode(&self, _kind: gnnunlock::engine::JobKind, value: &JobValue) -> Option<Vec<u8>> {
-        value
-            .downcast_ref::<String>()
-            .map(|s| s.as_bytes().to_vec())
-    }
-
-    fn decode(&self, _kind: gnnunlock::engine::JobKind, bytes: &[u8]) -> Option<JobValue> {
-        Some(Arc::new(String::from_utf8(bytes.to_vec()).ok()?) as JobValue)
-    }
-}
-
-struct ToyRunner;
-
-impl CampaignRunner for ToyRunner {
-    fn config_salt(&self) -> u64 {
-        99
-    }
-
-    fn codec(&self) -> Option<Arc<dyn ValueCodec>> {
-        Some(Arc::new(ToyCodec))
-    }
-
-    fn run(&self, job: &StageJob, ctx: &JobCtx<'_>) -> JobOutput {
-        let inputs: Vec<String> = (0..ctx.deps.len())
-            .map(|i| ctx.dep::<String>(i).as_ref().clone())
-            .collect();
-        Ok(Arc::new(format!("{}<-[{}]", job.label(), inputs.join(";"))) as JobValue)
-    }
-}
+const TOY: Echo = Echo { salt: 99 };
 
 fn toy_campaign() -> Campaign {
     Campaign::builder("telemetry-toy")
@@ -79,8 +45,8 @@ fn span_keys(spans: &[SpanRecord]) -> BTreeSet<(String, String, u64, u64)> {
 #[test]
 fn span_id_graph_is_identical_across_worker_counts() {
     let campaign = toy_campaign();
-    let one = campaign.execute(&ToyRunner, &Executor::new(ExecConfig::with_workers(1)));
-    let four = campaign.execute(&ToyRunner, &Executor::new(ExecConfig::with_workers(4)));
+    let one = campaign.execute(&TOY, &Executor::new(ExecConfig::with_workers(1)));
+    let four = campaign.execute(&TOY, &Executor::new(ExecConfig::with_workers(4)));
 
     let keys_one = span_keys(&one.outcome.spans);
     let keys_four = span_keys(&four.outcome.spans);
@@ -117,7 +83,7 @@ fn persistent_run_writes_a_valid_chrome_trace() {
     let dir = TempDir::new("telemetry-persistent");
     let campaign = toy_campaign();
     let run = campaign
-        .execute_persistent(&ToyRunner, ExecConfig::with_workers(2), &dir)
+        .execute_persistent(&TOY, ExecConfig::with_workers(2), &dir)
         .unwrap();
     assert!(run.outcome.all_succeeded());
     let events = read_valid_trace(&dir.join("trace.json"));
@@ -139,7 +105,7 @@ fn three_sharded_workers_each_write_a_valid_trace() {
                 scope.spawn(move || {
                     let sharded = campaign
                         .execute_sharded(
-                            &ToyRunner,
+                            &TOY,
                             ExecConfig::with_workers(2),
                             dir,
                             &ShardConfig::new(format!("w{i}")),
