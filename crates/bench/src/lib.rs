@@ -26,7 +26,7 @@
 //! Malformed knob values are never silently ignored: the engine's
 //! centralized parser warns on stderr and falls back to the default.
 
-use gnnunlock_core::{AttackConfig, AttackOutcome};
+use gnnunlock_core::AttackConfig;
 use gnnunlock_engine::{ExecConfig, Executor};
 use gnnunlock_gnn::{SaintConfig, TrainConfig};
 
@@ -133,11 +133,6 @@ fn env_usize(name: &str, default: usize) -> usize {
 /// Percentage formatting matching the paper's tables.
 pub fn pct(x: f64) -> String {
     format!("{:.2}", x * 100.0)
-}
-
-/// Render one Table IV/V-style row terminator for an outcome.
-pub fn removal_pct(outcome: &AttackOutcome) -> String {
-    pct(outcome.removal_success_rate())
 }
 
 /// Print a horizontal rule sized to `width`.

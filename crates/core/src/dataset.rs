@@ -146,12 +146,6 @@ impl DatasetConfig {
             seed: 0xf00d,
         }
     }
-
-    /// Keep only key sizes ≤ `max` (used by scaled-down harness runs).
-    pub fn clamp_keys(mut self, max: usize) -> Self {
-        self.key_sizes.retain(|&k| k <= max);
-        self
-    }
 }
 
 /// One locked instance of a dataset.

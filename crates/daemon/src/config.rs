@@ -1,7 +1,8 @@
 //! Daemon configuration and its `GNNUNLOCK_*` environment knobs.
 
 use gnnunlock_engine::{
-    default_workers, env, knob_or, knob_path, knob_validated, tenant_budget_from_env, StoreBackend,
+    default_workers, env, knob_or, knob_path, knob_validated, tenant_budget_from_env,
+    LocalDirBackend, StoreBackend,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -34,10 +35,8 @@ pub struct DaemonConfig {
     /// Bind address (`host:port`; port 0 = OS-assigned).
     pub addr: String,
     /// Executor worker threads per running campaign
-    /// (`GNNUNLOCK_WORKERS`).
+    /// (`GNNUNLOCK_WORKERS`). Campaigns run one at a time.
     pub workers: usize,
-    /// Campaigns executed concurrently (daemon worker threads).
-    pub queue_workers: usize,
     /// Max queued-or-running campaigns per tenant
     /// ([`TENANT_MAX_ACTIVE_ENV`]).
     pub tenant_max_active: usize,
@@ -58,11 +57,10 @@ pub struct DaemonConfig {
     /// `report.json` and status marker. Default: 512.
     pub terminal_retained: usize,
     /// Store backend campaign executions and tenant budget sweeps run
-    /// against. `None` (the default) is the local filesystem
-    /// ([`gnnunlock_engine::LocalDirBackend`]). Tests pass a
-    /// fault-injecting [`gnnunlock_engine::testing::Faulty`] backend
-    /// here.
-    pub store_backend: Option<Arc<dyn StoreBackend>>,
+    /// against: the local filesystem ([`LocalDirBackend`]) by default.
+    /// Tests pass a fault-injecting
+    /// [`gnnunlock_engine::testing::Faulty`] backend here.
+    pub store_backend: Arc<dyn StoreBackend>,
 }
 
 impl DaemonConfig {
@@ -73,12 +71,11 @@ impl DaemonConfig {
             root: root.into(),
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
-            queue_workers: 1,
             tenant_max_active: 4,
             tenant_budget_bytes: None,
             lease_ttl: None,
             terminal_retained: 512,
-            store_backend: None,
+            store_backend: Arc::new(LocalDirBackend::new()),
         }
     }
 
@@ -115,7 +112,7 @@ impl DaemonConfig {
     /// Run campaign stores and budget sweeps against an explicit
     /// backend instead of the local filesystem.
     pub fn with_store_backend(mut self, backend: Arc<dyn StoreBackend>) -> Self {
-        self.store_backend = Some(backend);
+        self.store_backend = backend;
         self
     }
 
@@ -133,7 +130,6 @@ impl DaemonConfig {
                 .filter(|v| !v.is_empty())
                 .unwrap_or_else(|| DEFAULT_ADDR.to_string()),
             workers: default_workers(),
-            queue_workers: 1,
             tenant_max_active: knob_validated(
                 TENANT_MAX_ACTIVE_ENV,
                 "a positive campaign count",
@@ -143,7 +139,7 @@ impl DaemonConfig {
             tenant_budget_bytes: tenant_budget_from_env(),
             lease_ttl: env::lease_ttl_from_env(),
             terminal_retained: 512,
-            store_backend: None,
+            store_backend: Arc::new(LocalDirBackend::new()),
         }
     }
 

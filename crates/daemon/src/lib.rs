@@ -13,7 +13,7 @@
 //!   [`gnnunlock_core::Submission::campaign_id`] (identical submissions
 //!   collapse onto one campaign; re-submissions are answered straight
 //!   from the registry or an on-disk canonical report), a work queue
-//!   drained by executor threads, per-tenant concurrent-campaign
+//!   drained by one executor thread, per-tenant concurrent-campaign
 //!   quotas and byte budgets, graceful drain;
 //! - [`Daemon`]: the non-blocking TCP reactor (no async runtime — a
 //!   readiness poll loop over non-blocking sockets);

@@ -11,7 +11,7 @@
 
 use crate::config::{poll_interval, DaemonConfig};
 use crate::protocol::{error_line, line, ok_doc, subscribe_end_line, Request};
-use crate::state::{persisted_status, CampaignStatus, DaemonCore, SubmitReceipt};
+use crate::state::{disk_terminal_status, DaemonCore, SubmitReceipt};
 use crate::watch::poll_event_logs;
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
@@ -23,17 +23,17 @@ use std::time::{Duration, Instant};
 
 use gnnunlock_engine::Json;
 
-/// A running campaign-as-a-service daemon: reactor + executor threads
+/// A running campaign-as-a-service daemon: reactor + executor thread
 /// over a [`DaemonCore`].
 pub struct Daemon {
     core: Arc<DaemonCore>,
     addr: SocketAddr,
     reactor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    worker: Option<JoinHandle<()>>,
 }
 
 impl Daemon {
-    /// Bind the configured address, spawn the executor threads and the
+    /// Bind the configured address, spawn the executor thread and the
     /// reactor, and return the live daemon. `addr()` carries the
     /// resolved address (useful with port 0).
     ///
@@ -45,7 +45,7 @@ impl Daemon {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let core = DaemonCore::new(cfg);
-        let workers = core.spawn_workers();
+        let worker = core.spawn_worker();
         let reactor = {
             let core = Arc::clone(&core);
             std::thread::Builder::new()
@@ -57,7 +57,7 @@ impl Daemon {
             core,
             addr,
             reactor: Some(reactor),
-            workers,
+            worker: Some(worker),
         })
     }
 
@@ -88,7 +88,7 @@ impl Daemon {
     }
 
     fn join_threads(&mut self) {
-        for worker in self.workers.drain(..) {
+        if let Some(worker) = self.worker.take() {
             let _ = worker.join();
         }
         if let Some(reactor) = self.reactor.take() {
@@ -340,15 +340,8 @@ impl Conn {
         let terminal = match registered {
             Some(status) => status.is_terminal().then_some(status),
             // Known only on disk (previous daemon life, or evicted from
-            // the registry): the persisted status marker is canonical —
-            // report.json alone also exists for *failed* campaigns, so
-            // its mere presence only backs legacy marker-less dirs.
-            None => persisted_status(&sub.dir).or_else(|| {
-                sub.dir
-                    .join("report.json")
-                    .is_file()
-                    .then_some(CampaignStatus::Done)
-            }),
+            // the registry).
+            None => disk_terminal_status(&sub.dir),
         };
         let wbuf = &mut self.wbuf;
         let consumed = poll_event_logs(&sub.dir, &mut sub.cursors, |l| {

@@ -1,11 +1,11 @@
-//! The daemon's brain: submission registry, work queue, campaign
-//! executor threads, per-tenant quotas, graceful drain.
+//! The daemon's brain: submission registry, work queue, the campaign
+//! executor thread, per-tenant quotas, graceful drain.
 //!
 //! [`DaemonCore`] is the transport-independent half of the service —
 //! the TCP reactor ([`crate::Daemon`]) and the in-process tests drive
 //! the same methods. Campaigns execute on the existing stage-DAG
 //! machinery via [`run_campaign_sharded`], with the daemon acting as
-//! one shard (`gnnunlockd-w<n>`) inside the campaign directory: an
+//! one shard (`gnnunlockd-w0`) inside the campaign directory: an
 //! external worker pointed at the same directory (with the matching
 //! `GNNUNLOCK_TENANT`) cohabits the run through the lease protocol, no
 //! daemon-side coordination needed.
@@ -14,8 +14,8 @@ use crate::config::DaemonConfig;
 use crate::protocol::validate_campaign_id;
 use gnnunlock_core::{run_campaign_sharded, Submission};
 use gnnunlock_engine::{
-    gc_roots, gc_roots_with, merge_shard_events, sanitize_tag, CancelToken, ExecConfig, JobStatus,
-    Json, ReportOptions, ShardConfig, DEGRADED_PREFIX,
+    gc_roots, merge_shard_events, sanitize_tag, tenant_objects_root, CancelToken, ExecConfig,
+    JobStatus, Json, ReportOptions, ShardConfig, DEGRADED_PREFIX,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -111,6 +111,10 @@ impl CampaignStatus {
 /// directory next to `report.json`.
 const STATUS_FILE: &str = "status";
 
+/// The executor thread's name and its shard id (lease owner and event
+/// log suffix) in every campaign directory.
+const WORKER_SHARD: &str = "gnnunlockd-w0";
+
 /// The terminal status a (possibly previous) daemon life persisted into
 /// campaign directory `dir`, if any. `report.json` alone is *not* proof
 /// of success — workers write it for failed campaigns too — so the
@@ -121,6 +125,18 @@ pub fn persisted_status(dir: &Path) -> Option<CampaignStatus> {
     // First line only: a failed campaign's marker carries the error on
     // the following lines.
     CampaignStatus::from_wire(text.lines().next().unwrap_or("").trim()).filter(|s| s.is_terminal())
+}
+
+/// The terminal status campaign directory `dir` shows on disk: the
+/// [`persisted_status`] marker, or — for legacy marker-less directories
+/// only — `done` when a `report.json` exists. What submit dedup and
+/// subscription ends trust for campaigns the registry does not hold.
+pub(crate) fn disk_terminal_status(dir: &Path) -> Option<CampaignStatus> {
+    persisted_status(dir).or_else(|| {
+        dir.join("report.json")
+            .is_file()
+            .then_some(CampaignStatus::Done)
+    })
 }
 
 /// The error a worker persisted alongside a `failed` status marker, if
@@ -162,7 +178,9 @@ struct State {
     /// keeps the registry bounded over a long daemon lifetime.
     terminal_order: VecDeque<String>,
     stopping: bool,
-    live_workers: usize,
+    /// Whether the executor thread is running (it exits once stopping
+    /// and the queue is empty).
+    worker_live: bool,
 }
 
 /// Record `id` as terminal and evict the oldest terminal entries beyond
@@ -188,7 +206,8 @@ pub struct DaemonCore {
 }
 
 impl DaemonCore {
-    /// A fresh core with no workers running (the server spawns them).
+    /// A fresh core with no executor thread running (the server spawns
+    /// it).
     pub fn new(cfg: DaemonConfig) -> Arc<DaemonCore> {
         Arc::new(DaemonCore {
             cfg,
@@ -197,7 +216,7 @@ impl DaemonCore {
                 queue: VecDeque::new(),
                 terminal_order: VecDeque::new(),
                 stopping: false,
-                live_workers: 0,
+                worker_live: false,
             }),
             work: Condvar::new(),
         })
@@ -243,13 +262,7 @@ impl DaemonCore {
         // marker, or legacy directories with a report and no marker).
         // Failed or cancelled prior attempts fall through and re-queue;
         // their cached store entries make the retry cheap.
-        let dir = self.cfg.campaign_dir(&id);
-        let prior = persisted_status(&dir).or_else(|| {
-            dir.join("report.json")
-                .is_file()
-                .then_some(CampaignStatus::Done)
-        });
-        if prior == Some(CampaignStatus::Done) {
+        if disk_terminal_status(&self.cfg.campaign_dir(&id)) == Some(CampaignStatus::Done) {
             st.campaigns.insert(
                 id.clone(),
                 Entry {
@@ -409,44 +422,40 @@ impl DaemonCore {
         }
     }
 
-    /// Begin the graceful drain: refuse new submissions, let workers
-    /// finish the queue, wake everyone waiting.
+    /// Begin the graceful drain: refuse new submissions, let the
+    /// executor finish the queue, wake everyone waiting.
     pub fn shutdown(&self) {
         self.state.lock().unwrap().stopping = true;
         self.work.notify_all();
     }
 
     /// Whether the drain completed: shutdown requested, queue empty,
-    /// every worker exited.
+    /// the executor thread exited.
     pub fn is_drained(&self) -> bool {
         let st = self.state.lock().unwrap();
-        st.stopping && st.queue.is_empty() && st.live_workers == 0
+        st.stopping && st.queue.is_empty() && !st.worker_live
     }
 
     /// Block until [`DaemonCore::is_drained`].
     pub fn wait_drained(&self) {
         let mut st = self.state.lock().unwrap();
-        while !(st.stopping && st.queue.is_empty() && st.live_workers == 0) {
+        while !(st.stopping && st.queue.is_empty() && !st.worker_live) {
             st = self.work.wait(st).unwrap();
         }
     }
 
-    /// Spawn the campaign executor threads (`queue_workers` of them).
-    pub fn spawn_workers(self: &Arc<Self>) -> Vec<std::thread::JoinHandle<()>> {
-        let n = self.cfg.queue_workers.max(1);
-        self.state.lock().unwrap().live_workers = n;
-        (0..n)
-            .map(|idx| {
-                let core = Arc::clone(self);
-                std::thread::Builder::new()
-                    .name(format!("gnnunlockd-w{idx}"))
-                    .spawn(move || core.worker_loop(idx))
-                    .expect("spawn daemon worker")
-            })
-            .collect()
+    /// Spawn the campaign executor thread: campaigns run one at a time,
+    /// each on `workers` engine threads.
+    pub(crate) fn spawn_worker(self: &Arc<Self>) -> std::thread::JoinHandle<()> {
+        self.state.lock().unwrap().worker_live = true;
+        let core = Arc::clone(self);
+        std::thread::Builder::new()
+            .name(WORKER_SHARD.to_string())
+            .spawn(move || core.worker_loop())
+            .expect("spawn daemon worker")
     }
 
-    fn worker_loop(self: Arc<Self>, idx: usize) {
+    fn worker_loop(self: Arc<Self>) {
         loop {
             let id = {
                 let mut st = self.state.lock().unwrap();
@@ -455,19 +464,19 @@ impl DaemonCore {
                         break id;
                     }
                     if st.stopping {
-                        st.live_workers -= 1;
+                        st.worker_live = false;
                         self.work.notify_all();
                         return;
                     }
                     st = self.work.wait(st).unwrap();
                 }
             };
-            self.run_one(&id, idx);
+            self.run_one(&id);
         }
     }
 
     /// Execute one queued campaign as the daemon's shard.
-    fn run_one(&self, id: &str, worker_idx: usize) {
+    fn run_one(&self, id: &str) {
         let (submission, cancel) = {
             let mut st = self.state.lock().unwrap();
             let Some(entry) = st.campaigns.get_mut(id) else {
@@ -483,13 +492,11 @@ impl DaemonCore {
         let dir = self.cfg.campaign_dir(id);
         let outcome = (|| -> std::io::Result<(CampaignStatus, usize, Option<String>)> {
             std::fs::create_dir_all(&dir)?;
-            let mut shard = ShardConfig::new(format!("gnnunlockd-w{worker_idx}"))
-                .with_namespace(&submission.tenant);
+            let mut shard = ShardConfig::new(WORKER_SHARD)
+                .with_namespace(&submission.tenant)
+                .with_backend(self.cfg.store_backend.clone());
             if let Some(ttl) = self.cfg.lease_ttl {
                 shard = shard.with_ttl(ttl);
-            }
-            if let Some(backend) = &self.cfg.store_backend {
-                shard = shard.with_backend(backend.clone());
             }
             let exec = ExecConfig {
                 workers: self.cfg.workers,
@@ -589,12 +596,7 @@ impl DaemonCore {
                 if sanitize_tag(&entry.submission.tenant) != ns {
                     continue;
                 }
-                let objects = self
-                    .cfg
-                    .campaign_dir(id)
-                    .join("tenants")
-                    .join(&ns)
-                    .join("objects");
+                let objects = tenant_objects_root(&self.cfg.campaign_dir(id), &ns);
                 // Every campaign's store counts toward the tenant's
                 // bytes; still-active campaigns are additionally
                 // shielded (gc_roots counts entries under a protected
@@ -606,14 +608,7 @@ impl DaemonCore {
                 roots.push(objects);
             }
         }
-        match &self.cfg.store_backend {
-            Some(backend) => {
-                gc_roots_with(backend.as_ref(), &roots, &protected, budget);
-            }
-            None => {
-                gc_roots(&roots, &protected, budget);
-            }
-        }
+        gc_roots(self.cfg.store_backend.as_ref(), &roots, &protected, budget);
     }
 }
 
@@ -884,7 +879,7 @@ mod tests {
         ))
         .unwrap();
         let id = core.submit(tiny).unwrap().id;
-        core.run_one(&id, 0);
+        core.run_one(&id);
 
         assert_eq!(core.status_of(&id), Some(CampaignStatus::Failed));
         let dir = core.campaign_dir(&id);

@@ -62,8 +62,9 @@ pub struct FileMeta {
     pub mtime: SystemTime,
 }
 
-/// The atomicity obligations of a store + lease substrate. See the
-/// [module docs](self) for the contract each method must honor.
+/// The atomicity obligations of a store + lease substrate: each
+/// method's doc states the contract it must honor, and every backend
+/// either honors them or is a bug.
 ///
 /// All paths are absolute-or-relative paths *as the engine computes
 /// them*; a backend is free to treat them as opaque keys (the object

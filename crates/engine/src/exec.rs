@@ -354,9 +354,9 @@ impl Executor {
         self
     }
 
-    /// Consult `hint` when picking the next ready job: deferred jobs
-    /// (`true`) run only when every ready job is deferred. See
-    /// [`ReadyHint`].
+    /// Consult `hint` — `(kind, fingerprint)` → `true` to defer — when
+    /// picking the next ready job: deferred jobs run only when every
+    /// ready job is deferred.
     pub fn with_ready_hint(mut self, hint: Arc<ReadyHint>) -> Self {
         self.ready_hint = Some(hint);
         self

@@ -111,7 +111,6 @@ pub use shard::{
     ShardedRun,
 };
 pub use store::{
-    cache_budget_from_env, gc_roots, gc_roots_with, sanitize_tag, tenant_budget_from_env,
-    tenant_usage, tenant_usage_with, DiskStore, GcStats, StoreStats, CACHE_BUDGET_ENV,
-    CACHE_DIR_ENV, TENANT_BUDGET_ENV,
+    cache_budget_from_env, gc_roots, sanitize_tag, tenant_budget_from_env, tenant_objects_root,
+    DiskStore, GcStats, StoreStats, CACHE_BUDGET_ENV, CACHE_DIR_ENV, TENANT_BUDGET_ENV,
 };

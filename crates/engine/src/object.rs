@@ -46,8 +46,9 @@ struct Blob {
 /// [`StoreBackend`] over an in-process conditional-put blob map: keys
 /// are opaque paths, every write allocates a fresh process-unique ETag,
 /// and the conditional primitives arbitrate concurrent writers the way
-/// a real object store's preconditions do. See the [module docs](self)
-/// for how each obligation maps onto the blob API.
+/// a real object store's preconditions do: publish is a put, claim a
+/// `put_if_absent`, and entomb a copy followed by an ETag-conditional
+/// delete.
 #[derive(Debug, Default)]
 pub struct ObjectStoreBackend {
     blobs: Mutex<BTreeMap<PathBuf, Blob>>,

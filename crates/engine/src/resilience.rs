@@ -1,10 +1,10 @@
 //! Deterministic retry / timeout / degradation layer around every
 //! [`StoreBackend`].
 //!
-//! [`crate::DiskStore::open_opts`] wraps whatever backend it is handed
-//! in a [`ResilientBackend`], so the policy below applies uniformly to
-//! the `local` and `object` substrates (and to the fault decorator over
-//! either):
+//! [`crate::DiskStore::open_with_backend`] wraps whatever backend it is
+//! handed in a [`ResilientBackend`], so the policy below applies
+//! uniformly to the `local` and `object` substrates (and to the fault
+//! decorator over either):
 //!
 //! - **[`RetryPolicy`]** — transient failures ([`io::ErrorKind::WouldBlock`],
 //!   `Interrupted`, `TimedOut`) retry with exponential backoff and
@@ -263,8 +263,8 @@ impl HealthTracker {
 
 /// A [`StoreBackend`] wrapping another with the retry policy, circuit
 /// breaker and publish spill queue described in the [module
-/// docs](self). Constructed by [`crate::DiskStore::open_opts`] around
-/// every backend it is handed.
+/// docs](self). Constructed by [`crate::DiskStore::open_with_backend`]
+/// around every backend it is handed.
 #[derive(Debug)]
 pub struct ResilientBackend {
     inner: Arc<dyn StoreBackend>,

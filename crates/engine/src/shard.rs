@@ -43,7 +43,7 @@
 //! them — sharding requires a codec precisely because peer results
 //! travel through the store.
 
-use crate::backend::StoreBackend;
+use crate::backend::{LocalDirBackend, StoreBackend};
 use crate::cache::ResultCache;
 use crate::campaign::{Campaign, CampaignRun, CampaignRunner};
 use crate::env;
@@ -74,19 +74,10 @@ pub struct ShardConfig {
     /// among concurrently running shards.
     pub shard_id: String,
     /// How long a foreign lease may go un-heartbeated before this shard
-    /// treats its owner as dead and takes the job over.
+    /// treats its owner as dead and takes the job over. A shard waiting
+    /// on a peer's job re-probes the store every `ttl / 8`, clamped to
+    /// 5–500 ms.
     pub lease_ttl: Duration,
-    /// How often a shard waiting on a peer's job re-probes the store.
-    pub poll_interval: Duration,
-    /// Probe-ahead scheduling: elide a claimed job when every
-    /// dependent's cache entry is already present. On by default.
-    pub probe_ahead: bool,
-    /// Prefer-unleased scheduling: when picking its next ready job,
-    /// the shard passes over jobs a live peer currently leases (it
-    /// would only probe-poll them) in favor of unleased ready work.
-    /// Wall-clock only — pick order never changes results. On by
-    /// default.
-    pub prefer_unleased: bool,
     /// Tenant namespace for the store this shard executes against
     /// ([`DiskStore::open_namespaced`]): entries — and, since lease
     /// files live beside entries, leases — go under
@@ -94,44 +85,27 @@ pub struct ShardConfig {
     /// services keep tenants' results and coordination disjoint.
     /// `None` (the default) is the shared default namespace.
     pub namespace: Option<String>,
-    /// Store backend this shard executes against. `None` (the default)
-    /// is the local filesystem ([`crate::LocalDirBackend`]). Tests pass
-    /// a shared [`crate::testing::Faulty`] backend here to run whole
-    /// sharded campaigns under injected faults.
-    pub backend: Option<Arc<dyn StoreBackend>>,
+    /// Store backend this shard executes against: the local filesystem
+    /// ([`LocalDirBackend`]) by default. Tests pass a shared
+    /// [`crate::testing::Faulty`] backend here to run whole sharded
+    /// campaigns under injected faults.
+    pub backend: Arc<dyn StoreBackend>,
 }
 
 impl ShardConfig {
     /// A shard named `shard_id` with the default 30 s lease TTL.
     pub fn new(shard_id: impl Into<String>) -> Self {
-        let lease_ttl = Duration::from_millis(30_000);
         ShardConfig {
             shard_id: shard_id.into(),
-            lease_ttl,
-            poll_interval: Self::poll_for(lease_ttl),
-            probe_ahead: true,
-            prefer_unleased: true,
+            lease_ttl: Duration::from_millis(30_000),
             namespace: None,
-            backend: None,
+            backend: Arc::new(LocalDirBackend::new()),
         }
     }
 
-    /// Set the lease TTL (re-deriving the poll interval from it).
+    /// Set the lease TTL.
     pub fn with_ttl(mut self, ttl: Duration) -> Self {
         self.lease_ttl = ttl;
-        self.poll_interval = Self::poll_for(ttl);
-        self
-    }
-
-    /// Enable or disable probe-ahead elision.
-    pub fn with_probe_ahead(mut self, yes: bool) -> Self {
-        self.probe_ahead = yes;
-        self
-    }
-
-    /// Enable or disable prefer-unleased job picking.
-    pub fn with_prefer_unleased(mut self, yes: bool) -> Self {
-        self.prefer_unleased = yes;
         self
     }
 
@@ -150,7 +124,7 @@ impl ShardConfig {
     /// Execute against an explicit store backend instead of the local
     /// filesystem.
     pub fn with_backend(mut self, backend: Arc<dyn StoreBackend>) -> Self {
-        self.backend = Some(backend);
+        self.backend = backend;
         self
     }
 
@@ -174,8 +148,9 @@ impl ShardConfig {
         cfg
     }
 
-    fn poll_for(ttl: Duration) -> Duration {
-        (ttl / 8).clamp(Duration::from_millis(5), Duration::from_millis(500))
+    /// How often a shard waiting on a peer's job re-probes the store.
+    fn poll_interval(&self) -> Duration {
+        (self.lease_ttl / 8).clamp(Duration::from_millis(5), Duration::from_millis(500))
     }
 }
 
@@ -233,9 +208,9 @@ impl Campaign {
                  results through the store",
             )
         })?;
-        let store = Arc::new(DiskStore::open_opts(
+        let store = Arc::new(DiskStore::open_with_backend(
             dir,
-            shard.namespace.as_deref(),
+            shard.namespace.as_deref().unwrap_or_default(),
             shard.backend.clone(),
         )?);
         let cache = Arc::new(ResultCache::with_disk(store.clone(), codec));
@@ -263,33 +238,21 @@ impl Campaign {
             .unwrap_or(plan.len().saturating_sub(1));
         let finalizer = AtomicBool::new(false);
 
-        // Release a job's lease only after its result is published (or
-        // its body failed — failures are not persisted, so the next
-        // claimant re-discovers them deterministically).
-        let mut executor = Executor::new(cfg)
-            .with_cache(cache.clone())
-            .with_events(log.clone())
-            .with_after_job(Arc::new({
-                let leases = leases.clone();
-                move |kind: JobKind, fp: u64, _ok: bool| {
-                    leases.release(kind, fp);
-                }
-            }));
-        if shard.prefer_unleased {
-            // Pick unleased ready jobs first: a job a live peer is
-            // executing would only be probe-polled, so do productive
-            // work instead and come back to it — usually as a cache
-            // hit. (A job whose entry already landed is never deferred;
-            // it costs nothing.) The probe does filesystem I/O and the
-            // hint runs under the scheduler lock, so verdicts are
-            // memoized per fingerprint for one poll interval — a stale
-            // verdict only perturbs pick order, never results.
+        // Prefer-unleased scheduling: pick unleased ready jobs first.
+        // A job a live peer is executing would only be probe-polled, so
+        // do productive work instead and come back to it — usually as a
+        // cache hit. (A job whose entry already landed is never
+        // deferred; it costs nothing.) The probe does filesystem I/O
+        // and the hint runs under the scheduler lock, so verdicts are
+        // memoized per fingerprint for one poll interval — a stale
+        // verdict only perturbs pick order, never results.
+        let ready_hint = {
             let leases = leases.clone();
             let store = store.clone();
             let memo: std::sync::Mutex<BTreeMap<u64, (std::time::Instant, bool)>> =
                 std::sync::Mutex::new(BTreeMap::new());
-            let memo_for = shard.poll_interval;
-            executor = executor.with_ready_hint(Arc::new(move |kind, fp| {
+            let memo_for = shard.poll_interval();
+            Arc::new(move |kind, fp| {
                 let Some(fp) = fp else { return false };
                 let now = std::time::Instant::now();
                 if let Some(&(at, verdict)) = memo.lock().unwrap().get(&fp) {
@@ -300,8 +263,21 @@ impl Campaign {
                 let verdict = !store.contains(kind, fp) && leases.peer_holds(kind, fp);
                 memo.lock().unwrap().insert(fp, (now, verdict));
                 verdict
-            }));
-        }
+            })
+        };
+        // Release a job's lease only after its result is published (or
+        // its body failed — failures are not persisted, so the next
+        // claimant re-discovers them deterministically).
+        let executor = Executor::new(cfg)
+            .with_cache(cache.clone())
+            .with_events(log.clone())
+            .with_after_job(Arc::new({
+                let leases = leases.clone();
+                move |kind: JobKind, fp: u64, _ok: bool| {
+                    leases.release(kind, fp);
+                }
+            }))
+            .with_ready_hint(ready_hint);
 
         let mut graph = JobGraph::new();
         for (i, (stage_job, deps)) in plan.iter().enumerate() {
@@ -425,8 +401,7 @@ fn shard_body<R: CampaignRunner>(
                 // fails the check, so this job executes normally
                 // instead of leaving its dependent to recompute against
                 // an Elided placeholder.
-                if shard.probe_ahead
-                    && !dependents.is_empty()
+                if !dependents.is_empty()
                     && dependents.iter().all(|&(k, f)| store.load(k, f).is_some())
                 {
                     leases.release(kind, fp);
@@ -473,7 +448,7 @@ fn shard_body<R: CampaignRunner>(
                 }
                 leases.note_poll_wait();
                 wait_start.get_or_insert_with(Instant::now);
-                std::thread::sleep(shard.poll_interval);
+                std::thread::sleep(shard.poll_interval());
             }
         }
     }
@@ -654,12 +629,12 @@ mod tests {
         assert_eq!(starts, 2);
     }
 
-    /// Prefer-unleased scheduling must reduce probe-poll iterations: a
-    /// shard facing a peer-leased job and other ready work should do
-    /// the other work first and pick the leased job up as a cache hit,
-    /// instead of sleeping in the poll loop while work waits. Two-shard
-    /// toy: a simulated peer holds the first ready job's lease and
-    /// publishes its result 400 ms in; every other body takes ~60 ms.
+    /// Prefer-unleased scheduling removes probe-poll iterations: a shard
+    /// facing a peer-leased job and other ready work does the other
+    /// work first and picks the leased job up as a cache hit, instead
+    /// of sleeping in the poll loop while work waits. Two-shard toy: a
+    /// simulated peer holds the first ready job's lease and publishes
+    /// its result 400 ms in; every other body takes ~60 ms.
     #[test]
     fn prefer_unleased_scheduling_reduces_poll_iterations() {
         /// Echo with per-body wall-clock, so pick order is observable.
@@ -677,72 +652,53 @@ mod tests {
             }
         }
 
-        let run_with = |prefer: bool, tag: &str| -> (usize, usize) {
-            let dir = TempDir::new(&format!("shard-{tag}"));
-            // Five benchmarks: the non-c1 parse/lock/featurize jobs are
-            // independent of the peer-held parse(c1), giving the
-            // preferred schedule ~12 x 60 ms of productive work — well
-            // past the peer's 400 ms publish.
-            let campaign = Campaign::builder("sharded-prefer")
-                .scheme("antisat")
-                .benchmarks(["c1", "c2", "c3", "c4", "c5"])
-                .key_sizes([8])
-                .build();
-            let plan = campaign.plan();
-            let fps = campaign.job_fingerprints(&SlowEcho);
-            // The peer leases the first ready job (lowest id, so the
-            // default scheduler would pick it first and poll).
-            let (job0, deps0) = &plan[0];
-            assert!(deps0.is_empty(), "plan[0] must be a ready root");
-            let (kind0, fp0) = (job0.kind, fps[0]);
-            let store = Arc::new(DiskStore::open(&dir).unwrap());
-            let peer = LeaseManager::new(store.clone(), "peer", Duration::from_secs(60));
-            assert!(matches!(peer.try_claim(kind0, fp0), Claim::Acquired { .. }));
-            let publisher = {
-                let store = store.clone();
-                let job0 = job0.clone();
-                std::thread::spawn(move || {
-                    std::thread::sleep(Duration::from_millis(400));
-                    let cache = ResultCache::with_disk(store, Arc::new(StringCodec));
-                    let cancel = crate::CancelToken::new();
-                    let ctx = JobCtx {
-                        deps: &[],
-                        cancel: &cancel,
-                    };
-                    let value = SlowEcho.run(&job0, &ctx).unwrap();
-                    cache.put(kind0, fp0, value);
-                })
-            };
-            // TTL comfortably past the publish instant (no takeover —
-            // the test is about scheduling), but with a poll interval
-            // (ttl/8 = 150 ms) fine enough that the default schedule
-            // visibly polls across the 400 ms window.
-            let shard = ShardConfig::new("w")
-                .with_ttl(Duration::from_millis(1200))
-                .with_prefer_unleased(prefer);
-            let sharded = campaign
-                .execute_sharded(&SlowEcho, ExecConfig::with_workers(1), &dir, &shard)
-                .unwrap();
-            publisher.join().unwrap();
-            // The peer's lease release on drop must not race the next
-            // iteration's claim.
-            drop(peer);
-            assert!(sharded.run.outcome.all_succeeded());
-            let succeeded = sharded.run.outcome.stats.succeeded();
-            (sharded.lease_stats.poll_waits, succeeded)
+        let dir = TempDir::new("shard-prefer");
+        // Five benchmarks: the non-c1 parse/lock/featurize jobs are
+        // independent of the peer-held parse(c1), giving the preferred
+        // schedule ~12 x 60 ms of productive work — well past the
+        // peer's 400 ms publish.
+        let campaign = Campaign::builder("sharded-prefer")
+            .scheme("antisat")
+            .benchmarks(["c1", "c2", "c3", "c4", "c5"])
+            .key_sizes([8])
+            .build();
+        let plan = campaign.plan();
+        let fps = campaign.job_fingerprints(&SlowEcho);
+        // The peer leases the first ready job (lowest id, so a scheduler
+        // without the hint would pick it first and poll).
+        let (job0, deps0) = &plan[0];
+        assert!(deps0.is_empty(), "plan[0] must be a ready root");
+        let (kind0, fp0) = (job0.kind, fps[0]);
+        let store = Arc::new(DiskStore::open(&dir).unwrap());
+        let peer = LeaseManager::new(store.clone(), "peer", Duration::from_secs(60));
+        assert!(matches!(peer.try_claim(kind0, fp0), Claim::Acquired { .. }));
+        let publisher = {
+            let store = store.clone();
+            let job0 = job0.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(400));
+                let cache = ResultCache::with_disk(store, Arc::new(StringCodec));
+                let cancel = crate::CancelToken::new();
+                let ctx = JobCtx {
+                    deps: &[],
+                    cancel: &cancel,
+                };
+                let value = SlowEcho.run(&job0, &ctx).unwrap();
+                cache.put(kind0, fp0, value);
+            })
         };
-
-        let (with_pref, succeeded_with) = run_with(true, "prefer-on");
-        let (without_pref, succeeded_without) = run_with(false, "prefer-off");
-        // Same jobs succeed either way; only *how* the peer's job
-        // resolves differs (pre-body disk hit vs wait-served body).
-        assert_eq!(succeeded_with, succeeded_without);
-        assert!(
-            with_pref < without_pref,
-            "prefer-unleased must reduce poll iterations: {with_pref} vs {without_pref}"
-        );
+        // TTL comfortably past the publish instant (no takeover — the
+        // test is about scheduling), but with a poll interval (ttl/8 =
+        // 150 ms) fine enough that polling would show across the 400 ms
+        // window.
+        let shard = ShardConfig::new("w").with_ttl(Duration::from_millis(1200));
+        let sharded = campaign
+            .execute_sharded(&SlowEcho, ExecConfig::with_workers(1), &dir, &shard)
+            .unwrap();
+        publisher.join().unwrap();
+        assert!(sharded.run.outcome.all_succeeded());
         assert_eq!(
-            with_pref, 0,
+            sharded.lease_stats.poll_waits, 0,
             "with other ready work covering the peer's publish window, \
              the preferred schedule never polls"
         );
@@ -773,10 +729,9 @@ mod tests {
     fn shard_config_defaults_and_env_shape() {
         let cfg = ShardConfig::new("w3");
         assert_eq!(cfg.lease_ttl, Duration::from_secs(30));
-        assert!(cfg.probe_ahead);
-        assert!(cfg.poll_interval <= Duration::from_millis(500));
+        assert_eq!(cfg.poll_interval(), Duration::from_millis(500));
         let short = cfg.with_ttl(Duration::from_millis(80));
-        assert_eq!(short.poll_interval, Duration::from_millis(10));
+        assert_eq!(short.poll_interval(), Duration::from_millis(10));
         assert_eq!(shard_events_file("w/3"), "events-w_3.jsonl");
     }
 }

@@ -25,9 +25,11 @@
 //! services sharing one root keep each tenant's results (and, since
 //! lease files live beside entries, its leases) disjoint: one tenant
 //! can never be served — or evicted by — another tenant's bytes.
-//! [`tenant_usage`] accounts bytes per namespace and [`gc_roots`]
-//! enforces a byte budget across many object roots (a tenant's
-//! campaigns), complementing the per-store [`DiskStore::gc`].
+//! [`gc_roots`] enforces a byte budget across many object roots (a
+//! tenant's campaigns), complementing the per-store [`DiskStore::gc`].
+//! Both budgets run one rule: least-recently-used `.bin` entries go
+//! first (mtime, then path), live or protected entries never go, and
+//! protocol files are never billed and collected once hour-stale.
 //!
 //! Durability and integrity:
 //!
@@ -48,7 +50,6 @@ use crate::graph::{fingerprint, JobKind};
 use crate::metrics;
 use crate::resilience::{ResilientBackend, RetryPolicy};
 use std::collections::HashSet;
-use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -96,7 +97,7 @@ pub struct StoreStats {
     pub save_errors: usize,
 }
 
-/// What one [`DiskStore::gc`] sweep did.
+/// What one [`DiskStore::gc`] or [`gc_roots`] sweep did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcStats {
     /// Entry bytes on disk before the sweep.
@@ -105,8 +106,9 @@ pub struct GcStats {
     pub bytes_after: u64,
     /// Entries evicted.
     pub evicted_entries: usize,
-    /// Entries kept because this process loaded or saved them (the
-    /// current run's live set is never evicted).
+    /// Protected entries the sweep found, whether or not it had to
+    /// evict: the handle's live set for [`DiskStore::gc`], the entries
+    /// under protected roots for [`gc_roots`]. Never evicted.
     pub live_protected: usize,
 }
 
@@ -161,7 +163,7 @@ impl DiskStore {
     /// Fails if the directory cannot be created, or if it already holds a
     /// store with an incompatible schema version.
     pub fn open(dir: &Path) -> io::Result<DiskStore> {
-        Self::open_opts(dir, None, None)
+        Self::open_namespaced(dir, "")
     }
 
     /// Open the store rooted at `dir` with this handle's entries living
@@ -175,7 +177,7 @@ impl DiskStore {
     ///
     /// Same failure modes as [`DiskStore::open`].
     pub fn open_namespaced(dir: &Path, tenant: &str) -> io::Result<DiskStore> {
-        Self::open_opts(dir, Some(tenant), None)
+        Self::open_with_backend(dir, tenant, Arc::new(LocalDirBackend::new()))
     }
 
     /// Open the store rooted at `dir` on an explicit [`StoreBackend`]
@@ -191,23 +193,12 @@ impl DiskStore {
         tenant: &str,
         backend: Arc<dyn StoreBackend>,
     ) -> io::Result<DiskStore> {
-        Self::open_opts(dir, Some(tenant), Some(backend))
-    }
-
-    pub(crate) fn open_opts(
-        dir: &Path,
-        tenant: Option<&str>,
-        backend: Option<Arc<dyn StoreBackend>>,
-    ) -> io::Result<DiskStore> {
-        let namespace = tenant
-            .map(str::trim)
-            .filter(|ns| !ns.is_empty())
-            .map(sanitize_tag);
-        // Every backend — whatever the selection — runs behind the
-        // resilience layer: deterministic transient retries, a circuit
-        // breaker, and the publish spill queue.
-        let backend: Arc<dyn StoreBackend> =
-            ResilientBackend::wrap(backend.unwrap_or_else(|| Arc::new(LocalDirBackend::new())));
+        let tenant = tenant.trim();
+        let namespace = (!tenant.is_empty()).then(|| sanitize_tag(tenant));
+        // Every backend runs behind the resilience layer: deterministic
+        // transient retries, a circuit breaker, and the publish spill
+        // queue.
+        let backend: Arc<dyn StoreBackend> = ResilientBackend::wrap(backend);
         backend.ensure_dir(dir)?;
         let version_path = dir.join(VERSION_FILE);
         // The gate runs under the shared RetryPolicy: a torn observation
@@ -244,30 +235,11 @@ impl DiskStore {
             }
         })?;
         // Sweep staging temps orphaned in the root by a writer killed
-        // mid-version-publish (the GC only walks objects/, so they
-        // would leak otherwise). Age-gated: a concurrent opener's
-        // in-flight temp is seconds old and must not be clobbered.
-        // (`.{VERSION_FILE}.tmp-` covers pre-trait store directories.)
-        if let Ok(listed) = backend.list(dir, false) {
-            let now = SystemTime::now();
-            for meta in listed {
-                let orphan_candidate =
-                    meta.path
-                        .file_name()
-                        .and_then(|n| n.to_str())
-                        .is_some_and(|n| {
-                            n.starts_with(".tmp-")
-                                || n.starts_with(&format!(".{VERSION_FILE}.tmp-"))
-                        });
-                if orphan_candidate
-                    && now
-                        .duration_since(meta.mtime)
-                        .is_ok_and(|age| age >= Duration::from_secs(3600))
-                {
-                    let _ = backend.remove(&meta.path);
-                }
-            }
-        }
+        // mid-version-publish (the budget sweeps only walk object
+        // roots, so they would leak otherwise). Age-gated: a concurrent
+        // opener's in-flight temp is seconds old and must not be
+        // clobbered.
+        list_entries(backend.as_ref(), dir, false, true);
         Ok(DiskStore {
             root: dir.to_path_buf(),
             namespace,
@@ -302,7 +274,7 @@ impl DiskStore {
     /// namespace. The unit [`gc_roots`] sweeps.
     pub fn objects_root(&self) -> PathBuf {
         match &self.namespace {
-            Some(ns) => self.root.join("tenants").join(ns).join("objects"),
+            Some(ns) => tenant_objects_root(&self.root, ns),
             None => self.root.join("objects"),
         }
     }
@@ -470,10 +442,7 @@ impl DiskStore {
     /// Number of entry files currently on disk (walks the tree; meant
     /// for tests and diagnostics, not hot paths).
     pub fn len(&self) -> usize {
-        self.backend
-            .list(&self.objects_root(), true)
-            .map(|files| files.iter().filter(|m| is_object_entry(&m.path)).count())
-            .unwrap_or(0)
+        list_entries(self.backend.as_ref(), &self.objects_root(), true, false).len()
     }
 
     /// Whether the store holds no entries.
@@ -486,16 +455,10 @@ impl DiskStore {
     /// Counts `.bin` entries only — in-flight `.tmp-*` staging files
     /// and `.lease`/`.tomb-*` protocol files never bill a budget.
     pub fn usage_bytes(&self) -> u64 {
-        self.backend
-            .list(&self.objects_root(), true)
-            .map(|files| {
-                files
-                    .iter()
-                    .filter(|m| is_object_entry(&m.path))
-                    .map(|m| m.len)
-                    .sum()
-            })
-            .unwrap_or(0)
+        list_entries(self.backend.as_ref(), &self.objects_root(), true, false)
+            .iter()
+            .map(|m| m.len)
+            .sum()
     }
 
     /// Counter snapshot.
@@ -516,44 +479,13 @@ impl DiskStore {
     /// which [`DiskStore::load`] refreshes on every hit, so the LRU
     /// order is shared across processes using the same directory.
     pub fn gc(&self, budget_bytes: u64) -> GcStats {
-        let entries = sweep_orphans_and_list(self.backend.as_ref(), &self.objects_root());
-        let bytes_before: u64 = entries.iter().map(|e| e.len).sum();
-        let mut stats = GcStats {
-            bytes_before,
-            bytes_after: bytes_before,
-            ..GcStats::default()
-        };
-        if bytes_before <= budget_bytes {
-            return stats;
-        }
+        let entries = list_entries(self.backend.as_ref(), &self.objects_root(), true, true);
         let touched = self.touched.lock().unwrap();
-        let mut candidates: Vec<&FileMeta> = Vec::new();
-        for e in &entries {
-            if touched.contains(&e.path) {
-                stats.live_protected += 1;
-            } else {
-                candidates.push(e);
-            }
-        }
-        // Oldest first; path as the tie-breaker keeps the sweep
-        // deterministic on filesystems with coarse mtime granularity.
-        candidates.sort_by(|a, b| a.mtime.cmp(&b.mtime).then_with(|| a.path.cmp(&b.path)));
-        let mut remaining = bytes_before;
-        for e in candidates {
-            if remaining <= budget_bytes {
-                break;
-            }
-            if self.backend.remove(&e.path).is_ok() {
-                remaining -= e.len;
-                stats.evicted_entries += 1;
-            }
-        }
-        stats.bytes_after = remaining;
-        if stats.evicted_entries > 0 {
-            metrics::store_gc_evicted().add(stats.evicted_entries as u64);
-            metrics::store_gc_reclaimed_bytes().add(stats.bytes_before - stats.bytes_after);
-        }
-        stats
+        let entries = entries
+            .into_iter()
+            .map(|e| (touched.contains(&e.path), e))
+            .collect();
+        evict_lru(self.backend.as_ref(), entries, budget_bytes)
     }
 
     /// Run [`DiskStore::gc`] with the budget named by
@@ -578,18 +510,24 @@ pub fn tenant_budget_from_env() -> Option<u64> {
     crate::env::knob(TENANT_BUDGET_ENV, "a byte count")
 }
 
-/// Whether `path` is a store entry (`*.bin`) — the only files byte
-/// accounting and budget sweeps may count or evict. Everything else
-/// under an objects root is protocol traffic: `.tmp-*` staging files,
-/// `.lease` claims, `.tomb-*` takeover arbitration.
-pub(crate) fn is_object_entry(path: &Path) -> bool {
-    path.extension().is_some_and(|e| e == "bin")
+/// Where tenant namespace `ns` keeps its entries under store root
+/// `dir`: `<dir>/tenants/<ns>/objects`, with `ns` sanitized like a
+/// job-kind tag. The [`DiskStore::objects_root`] of a handle opened
+/// with [`DiskStore::open_namespaced`].
+pub fn tenant_objects_root(dir: &Path, ns: &str) -> PathBuf {
+    dir.join("tenants").join(sanitize_tag(ns)).join("objects")
 }
 
-/// Whether a file name is lease/staging protocol traffic — collectable
-/// once hour-stale (see [`sweep_orphans_and_list`]), never billable.
-pub(crate) fn is_protocol_name(name: &str) -> bool {
-    name.starts_with(".tmp-") || name.ends_with(".lease") || name.contains(".tomb-")
+/// Whether a file name is lease/staging protocol traffic — never
+/// billed, and collected by [`list_entries`] once hour-stale:
+/// `.tmp-*` staging files (`.gnnunlock-store.version.tmp-*` in store
+/// directories of older builds), `.lease` claims and `.tomb-*` takeover
+/// arbitration.
+fn is_protocol_name(name: &str) -> bool {
+    name.starts_with(".tmp-")
+        || name.starts_with(".gnnunlock-store.version.tmp-")
+        || name.ends_with(".lease")
+        || name.contains(".tomb-")
 }
 
 /// Orphaned protocol files are collectable after this age: a `.tmp-`
@@ -600,21 +538,28 @@ pub(crate) fn is_protocol_name(name: &str) -> bool {
 /// which only costs epoch observability, never correctness.
 const ORPHAN_PROTOCOL_AGE: Duration = Duration::from_secs(3600);
 
-/// List the `.bin` entries under `root`, sweeping hour-stale orphaned
-/// protocol files along the way — the shared walk behind
-/// [`DiskStore::gc`] and [`gc_roots_with`], so *every* budget sweep
-/// reclaims the debris of crashed writers and dead shards.
-fn sweep_orphans_and_list(backend: &dyn StoreBackend, root: &Path) -> Vec<FileMeta> {
+/// The `.bin` entries under `root` (its whole subtree when `recursive`,
+/// its own files otherwise; none when it is absent) — the only files
+/// byte accounting and budget sweeps count or evict. With `sweep`,
+/// hour-stale protocol files met on the way are removed, so every
+/// sweep reclaims the debris of crashed writers and dead shards.
+fn list_entries(
+    backend: &dyn StoreBackend,
+    root: &Path,
+    recursive: bool,
+    sweep: bool,
+) -> Vec<FileMeta> {
     let now = SystemTime::now();
     let mut entries = Vec::new();
-    for meta in backend.list(root, true).unwrap_or_default() {
-        if is_object_entry(&meta.path) {
+    for meta in backend.list(root, recursive).unwrap_or_default() {
+        if meta.path.extension().is_some_and(|e| e == "bin") {
             entries.push(meta);
-        } else if meta
-            .path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(is_protocol_name)
+        } else if sweep
+            && meta
+                .path
+                .file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(is_protocol_name)
             && now
                 .duration_since(meta.mtime)
                 .is_ok_and(|age| age >= ORPHAN_PROTOCOL_AGE)
@@ -625,168 +570,38 @@ fn sweep_orphans_and_list(backend: &dyn StoreBackend, root: &Path) -> Vec<FileMe
     entries
 }
 
-/// Sum of `.bin` entry bytes under `dir` (0 when the tree is absent).
-/// Protocol files ([`is_protocol_name`]) are never billed: a crash that
-/// orphans a large `.tmp-*` (or an in-flight `.lease`/`.tomb-*`) must
-/// not eat a tenant's budget.
-fn entry_bytes_under(backend: &dyn StoreBackend, dir: &Path) -> u64 {
-    backend
-        .list(dir, true)
-        .map(|files| {
-            files
-                .iter()
-                .filter(|m| is_object_entry(&m.path))
-                .map(|m| m.len)
-                .sum()
-        })
-        .unwrap_or(0)
-}
-
-/// Per-namespace entry bytes under one store root: the default
-/// namespace keyed as `""`, each tenant namespace keyed by its
-/// (sanitized) id. Only namespaces currently holding a directory are
-/// listed; byte counts may be 0 for freshly created, empty namespaces.
-///
-/// # Errors
-///
-/// Propagates directory-read errors of the `tenants/` index itself
-/// (a missing index just means no tenant namespaces).
-pub fn tenant_usage(root: &Path) -> io::Result<std::collections::BTreeMap<String, u64>> {
-    let backend = LocalDirBackend::new();
-    let mut out = std::collections::BTreeMap::new();
-    let default_root = root.join("objects");
-    if default_root.is_dir() {
-        out.insert(String::new(), entry_bytes_under(&backend, &default_root));
-    }
-    let tenants = root.join("tenants");
-    let entries = match fs::read_dir(&tenants) {
-        Ok(e) => e,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(out),
-        Err(e) => return Err(e),
-    };
-    for entry in entries {
-        let entry = entry?;
-        if !entry.path().is_dir() {
-            continue;
-        }
-        let Ok(ns) = entry.file_name().into_string() else {
-            continue;
-        };
-        out.insert(
-            ns,
-            entry_bytes_under(&backend, &entry.path().join("objects")),
-        );
-    }
-    Ok(out)
-}
-
-/// [`tenant_usage`] against an explicit [`StoreBackend`]. Virtual
-/// backends have no real directories, so namespaces are enumerated from
-/// the key space itself: a tenant exists iff some key lives under
-/// `tenants/<ns>/`. The billing rule is identical — only `.bin` entry
-/// bytes count; in-flight protocol blobs (`.tmp-*`, `.lease`,
-/// `.tomb-*`) never do.
-///
-/// # Errors
-///
-/// Propagates a failed listing of the `tenants/` prefix.
-pub fn tenant_usage_with(
+/// The one eviction rule behind both budgets: given `(protected,
+/// entry)` pairs, evict unprotected entries oldest first until the
+/// total fits `budget_bytes`. Recency is entry mtime, with the path as
+/// tie-breaker so the sweep stays deterministic on filesystems with
+/// coarse mtime granularity. Protected entries count toward the bytes
+/// but are never evicted.
+fn evict_lru(
     backend: &dyn StoreBackend,
-    root: &Path,
-) -> io::Result<std::collections::BTreeMap<String, u64>> {
-    let mut out = std::collections::BTreeMap::new();
-    let default_root = root.join("objects");
-    if !backend.list(&default_root, true)?.is_empty() || default_root.is_dir() {
-        out.insert(String::new(), entry_bytes_under(backend, &default_root));
-    }
-    let tenants = root.join("tenants");
-    let mut namespaces = std::collections::BTreeSet::new();
-    for meta in backend.list(&tenants, true)? {
-        if let Ok(rest) = meta.path.strip_prefix(&tenants) {
-            if let Some(ns) = rest.components().next() {
-                namespaces.insert(ns.as_os_str().to_string_lossy().into_owned());
-            }
-        }
-    }
-    for ns in namespaces {
-        out.insert(
-            ns.clone(),
-            entry_bytes_under(backend, &tenants.join(&ns).join("objects")),
-        );
-    }
-    Ok(out)
-}
-
-/// Evict least-recently-used entries across several object roots (each
-/// an `objects/` directory as returned by [`DiskStore::objects_root`])
-/// until their combined bytes fit `budget_bytes` — the multi-store
-/// flavor of [`DiskStore::gc`], used for tenant-level quotas that span
-/// campaign directories. Entries under a root listed in `protected`
-/// count toward the byte accounting but are never evicted (campaigns
-/// still running). Recency is entry mtime, exactly like
-/// [`DiskStore::gc`], with the path as the deterministic tie-breaker.
-pub fn gc_roots(roots: &[PathBuf], protected: &[PathBuf], budget_bytes: u64) -> GcStats {
-    gc_roots_with(&LocalDirBackend::new(), roots, protected, budget_bytes)
-}
-
-/// [`gc_roots`] against an explicit [`StoreBackend`] — what
-/// `gnnunlockd` uses when its campaigns run on a configured backend.
-///
-/// Besides byte-budget eviction, the sweep collects hour-stale orphaned
-/// protocol files (`.tmp-*`, `.lease`, `.tomb-*`) under every root,
-/// protected or not — exactly like [`DiskStore::gc`]. Without this, a
-/// worker crashed mid-save would strand its staging file in a tenant's
-/// namespace forever: tenant budget sweeps were the only GC that ever
-/// visited daemon-managed campaign directories, and they skipped
-/// non-entry files entirely.
-pub fn gc_roots_with(
-    backend: &dyn StoreBackend,
-    roots: &[PathBuf],
-    protected: &[PathBuf],
+    entries: Vec<(bool, FileMeta)>,
     budget_bytes: u64,
 ) -> GcStats {
-    struct Entry {
-        meta: FileMeta,
-        protected: bool,
-    }
-    let mut entries = Vec::new();
-    for root in roots {
-        let shielded = protected.iter().any(|p| root.starts_with(p) || p == root);
-        for meta in sweep_orphans_and_list(backend, root) {
-            entries.push(Entry {
-                meta,
-                protected: shielded,
-            });
-        }
-    }
-    let bytes_before: u64 = entries.iter().map(|e| e.meta.len).sum();
+    let bytes_before = entries.iter().map(|(_, e)| e.len).sum();
     let mut stats = GcStats {
         bytes_before,
         bytes_after: bytes_before,
-        live_protected: entries.iter().filter(|e| e.protected).count(),
-        ..GcStats::default()
+        evicted_entries: 0,
+        live_protected: entries.iter().filter(|(protected, _)| *protected).count(),
     };
-    if bytes_before <= budget_bytes {
-        return stats;
-    }
-    let mut candidates: Vec<&Entry> = entries.iter().filter(|e| !e.protected).collect();
-    candidates.sort_by(|a, b| {
-        a.meta
-            .mtime
-            .cmp(&b.meta.mtime)
-            .then_with(|| a.meta.path.cmp(&b.meta.path))
-    });
-    let mut remaining = bytes_before;
+    let mut candidates: Vec<FileMeta> = entries
+        .into_iter()
+        .filter_map(|(protected, e)| (!protected).then_some(e))
+        .collect();
+    candidates.sort_by(|a, b| a.mtime.cmp(&b.mtime).then_with(|| a.path.cmp(&b.path)));
     for e in candidates {
-        if remaining <= budget_bytes {
+        if stats.bytes_after <= budget_bytes {
             break;
         }
-        if backend.remove(&e.meta.path).is_ok() {
-            remaining -= e.meta.len;
+        if backend.remove(&e.path).is_ok() {
+            stats.bytes_after -= e.len;
             stats.evicted_entries += 1;
         }
     }
-    stats.bytes_after = remaining;
     if stats.evicted_entries > 0 {
         metrics::store_gc_evicted().add(stats.evicted_entries as u64);
         metrics::store_gc_reclaimed_bytes().add(stats.bytes_before - stats.bytes_after);
@@ -794,10 +609,35 @@ pub fn gc_roots_with(
     stats
 }
 
+/// Evict least-recently-used entries across several object roots (each
+/// an `objects/` directory as returned by [`DiskStore::objects_root`])
+/// until their combined bytes fit `budget_bytes` — the multi-store
+/// flavor of [`DiskStore::gc`], with the same rule, used for
+/// tenant-level quotas that span campaign directories. Entries under a
+/// root listed in `protected` count toward the byte accounting but are
+/// never evicted (campaigns still running). Every root, protected or
+/// not, has its hour-stale protocol files collected: tenant budget
+/// sweeps are the only GC that visits daemon-managed campaign
+/// directories.
+pub fn gc_roots(
+    backend: &dyn StoreBackend,
+    roots: &[PathBuf],
+    protected: &[PathBuf],
+    budget_bytes: u64,
+) -> GcStats {
+    let entries = roots
+        .iter()
+        .flat_map(|root| list_entries(backend, root, true, true))
+        .map(|e| (protected.iter().any(|p| e.path.starts_with(p)), e))
+        .collect();
+    evict_lru(backend, entries, budget_bytes)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testing::{on_each_substrate, Fault, FaultOp, FaultRule, Faulty, TempDir};
+    use std::fs;
 
     #[test]
     fn round_trip_and_miss() {
@@ -991,12 +831,11 @@ mod tests {
         assert!(p.starts_with(dir.join("tenants").join("b_ob")));
 
         // Per-namespace accounting sees each tenant's own bytes.
-        let usage = tenant_usage(&dir).unwrap();
-        assert_eq!(usage.len(), 3);
-        assert_eq!(usage[""], shared.usage_bytes());
-        assert_eq!(usage["alice"], alice.usage_bytes());
-        assert_eq!(usage["b_ob"], bob.usage_bytes());
-        assert!(usage["alice"] > 0 && usage["alice"] != usage["b_ob"]);
+        let usage = |ns: &str| DiskStore::open_namespaced(&dir, ns).unwrap().usage_bytes();
+        assert_eq!(usage(""), shared.usage_bytes());
+        assert_eq!(usage("alice"), alice.usage_bytes());
+        assert_eq!(usage("b_ob"), bob.usage_bytes());
+        assert!(usage("alice") > 0 && usage("alice") != usage("b_ob"));
 
         // Namespace-scoped GC: a sweep of alice's namespace (via a
         // fresh handle — `alice` itself live-protects what it touched)
@@ -1033,14 +872,15 @@ mod tests {
 
         // Budget for five entries, nothing protected: the three oldest
         // (all in store_a) are evicted.
-        let stats = gc_roots(&roots, &[], 5 * entry_len);
+        let local = LocalDirBackend::new();
+        let stats = gc_roots(&local, &roots, &[], 5 * entry_len);
         assert_eq!(stats.bytes_before, 8 * entry_len);
         assert_eq!(stats.evicted_entries, 3);
         assert!(stats.bytes_after <= 5 * entry_len);
         assert_eq!(store_b.len(), 4, "newer store untouched");
 
         // Protecting store_b pins its entries even under a zero budget.
-        let stats = gc_roots(&roots, &[store_b.objects_root()], 0);
+        let stats = gc_roots(&local, &roots, &[store_b.objects_root()], 0);
         assert_eq!(stats.live_protected, 4);
         assert_eq!(store_a.len(), 0);
         assert_eq!(store_b.len(), 4);
@@ -1069,10 +909,9 @@ mod tests {
         assert_eq!(store.len(), 3);
     }
 
-    /// Satellite regression: byte accounting (usage_bytes,
-    /// tenant_usage, gc bytes_before) never bills in-flight or orphaned
-    /// protocol files — a crashed writer's large `.tmp-*` must not eat
-    /// a tenant's budget.
+    /// Byte accounting (usage_bytes, gc bytes_before) never bills
+    /// in-flight or orphaned protocol files — a crashed writer's large
+    /// `.tmp-*` must not eat a tenant's budget.
     #[test]
     fn protocol_files_are_never_billed_to_budgets() {
         let dir = TempDir::new("store-billing");
@@ -1088,10 +927,20 @@ mod tests {
         fs::write(objects.join("00000000000000aa.lease.tomb-9-0"), b"tomb\n").unwrap();
 
         assert_eq!(store.usage_bytes(), entries_only);
-        assert_eq!(tenant_usage(&dir).unwrap()["acme"], entries_only);
+        assert_eq!(
+            DiskStore::open_namespaced(&dir, "acme")
+                .unwrap()
+                .usage_bytes(),
+            entries_only
+        );
         let stats = store.gc(u64::MAX);
         assert_eq!(stats.bytes_before, entries_only);
-        let stats = gc_roots(&[store.objects_root()], &[], u64::MAX);
+        let stats = gc_roots(
+            &LocalDirBackend::new(),
+            &[store.objects_root()],
+            &[],
+            u64::MAX,
+        );
         assert_eq!(stats.bytes_before, entries_only);
     }
 
@@ -1120,7 +969,12 @@ mod tests {
         }
         // Even a no-op budget sweep (and even over a *protected* root)
         // reclaims the stale debris; in-flight files are left alone.
-        let stats = gc_roots(&[store.objects_root()], &[store.objects_root()], u64::MAX);
+        let stats = gc_roots(
+            &LocalDirBackend::new(),
+            &[store.objects_root()],
+            &[store.objects_root()],
+            u64::MAX,
+        );
         assert_eq!(stats.evicted_entries, 0);
         assert!(!stale_tmp.exists(), "stale orphan tmp must be collected");
         assert!(!stale_tomb.exists(), "stale orphan tomb must be collected");
@@ -1155,6 +1009,53 @@ mod tests {
             assert_eq!(store.load(JobKind::Train, 5).unwrap(), b"payload");
         }
         on_each_substrate("store-transient", check, check);
+    }
+
+    /// A sweep already under budget still reports the protected entries
+    /// it found: the live set for [`DiskStore::gc`], the entries under
+    /// protected roots for [`gc_roots`].
+    #[test]
+    fn under_budget_sweeps_count_their_protected_entries() {
+        fn check<B: StoreBackend + 'static>(root: &Path, backend: Arc<Faulty<B>>) {
+            let store = DiskStore::open_with_backend(root, "t", backend.clone()).unwrap();
+            store.save(JobKind::Lock, 1, b"live").unwrap();
+            store.save(JobKind::Train, 2, b"live too").unwrap();
+            let stats = store.gc(u64::MAX);
+            assert_eq!((stats.evicted_entries, stats.live_protected), (0, 2));
+            let objects = [store.objects_root()];
+            let stats = gc_roots(backend.as_ref(), &objects, &objects, u64::MAX);
+            assert_eq!((stats.evicted_entries, stats.live_protected), (0, 2));
+            let stats = gc_roots(backend.as_ref(), &objects, &[], u64::MAX);
+            assert_eq!((stats.evicted_entries, stats.live_protected), (0, 0));
+        }
+        on_each_substrate("store-gc-protected", check, check);
+    }
+
+    /// Opening a store collects hour-stale staging temps from its root
+    /// (writers killed mid-publish of the version file) and leaves fresh
+    /// temps and every campaign artifact alone, however old.
+    #[test]
+    fn open_sweeps_stale_staging_temps_from_the_root() {
+        fn check<B: StoreBackend + 'static>(root: &Path, backend: Arc<Faulty<B>>) {
+            DiskStore::open_with_backend(root, "", backend.clone()).unwrap();
+            let stale = [".tmp-77-0", ".gnnunlock-store.version.tmp-77-1"].map(|n| root.join(n));
+            let fresh = [".tmp-77-2", ".gnnunlock-store.version.tmp-77-3"].map(|n| root.join(n));
+            let artifacts = ["events.jsonl", "report.json", "status"].map(|n| root.join(n));
+            for p in stale.iter().chain(&fresh).chain(&artifacts) {
+                backend.publish(p, b"x").unwrap();
+            }
+            for p in stale.iter().chain(&artifacts) {
+                assert!(backend.age(p, Duration::from_secs(7200)));
+            }
+            DiskStore::open_with_backend(root, "", backend.clone()).unwrap();
+            for p in &stale {
+                assert!(!backend.contains(p), "stale {p:?} must be collected");
+            }
+            for p in fresh.iter().chain(&artifacts) {
+                assert!(backend.contains(p), "{p:?} must be left alone");
+            }
+        }
+        on_each_substrate("store-open-sweep", check, check);
     }
 
     /// The whole store surface works identically over any substrate

@@ -133,16 +133,6 @@ impl Csr {
         out
     }
 
-    /// [`Csr::sum_aggregate`] into a caller-provided output (fully
-    /// overwritten).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.rows() != num_nodes` or `out` has the wrong shape.
-    pub fn sum_aggregate_into(&self, x: &Matrix, out: &mut Matrix) {
-        self.aggregate_into(x, out, false);
-    }
-
     /// Mean aggregation `y[i] = mean_{j ∈ N(i)} x[j]` (isolated nodes get a
     /// zero row). Uses the degree normalization precomputed at
     /// construction — bit-identical to dividing in place, since the

@@ -109,28 +109,6 @@ impl GateType {
         }
     }
 
-    /// `true` for gates whose output inverts when all inputs invert
-    /// (self-dual under complement is not required; this flags the inverting
-    /// families used by De Morgan rewrites).
-    pub fn is_inverting(self) -> bool {
-        use GateType::*;
-        matches!(
-            self,
-            Inv | Nand
-                | Nor
-                | Xnor
-                | Aoi21
-                | Aoi22
-                | Aoi211
-                | Aoi221
-                | Oai21
-                | Oai22
-                | Oai211
-                | Oai221
-                | Mxi2
-        )
-    }
-
     /// Evaluate the gate on Boolean inputs.
     ///
     /// # Panics

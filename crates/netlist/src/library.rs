@@ -144,19 +144,6 @@ impl CellLibrary {
         }
     }
 
-    /// Human-readable name of feature class `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx >= self.num_classes()`.
-    pub fn class_name(self, idx: usize) -> String {
-        match self {
-            CellLibrary::Bench8 => BENCH8[idx].name().to_string(),
-            CellLibrary::Lpe65 => cell_stem(LPE65[idx].0, LPE65[idx].1),
-            CellLibrary::Nangate45 => cell_stem(NANGATE45[idx].0, NANGATE45[idx].1),
-        }
-    }
-
     /// Standard-cell instance name for Verilog output, e.g. `NAND2_X1`.
     ///
     /// For `Bench8` the bare family name is returned (bench gates have no
@@ -180,16 +167,6 @@ impl CellLibrary {
                 .collect(),
             CellLibrary::Lpe65 => LPE65.to_vec(),
             CellLibrary::Nangate45 => NANGATE45.to_vec(),
-        }
-    }
-
-    /// Maximum legal arity of the `And`/`Or`/`Nand`/`Nor` families in this
-    /// library (`usize::MAX` for the variadic bench format).
-    pub fn max_simple_arity(self) -> usize {
-        match self {
-            CellLibrary::Bench8 => usize::MAX,
-            CellLibrary::Lpe65 => 4,
-            CellLibrary::Nangate45 => 3,
         }
     }
 

@@ -524,11 +524,6 @@ impl Netlist {
         self.nets.len()
     }
 
-    /// Number of top-level inputs (primary + key).
-    pub fn num_inputs(&self) -> usize {
-        self.inputs.len()
-    }
-
     /// Iterate over all net ids (including currently unused ones).
     pub fn net_ids(&self) -> impl Iterator<Item = NetId> + '_ {
         (0..self.nets.len()).map(|i| NetId(i as u32))

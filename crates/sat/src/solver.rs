@@ -133,11 +133,6 @@ impl Solver {
         self.assign.len()
     }
 
-    /// Number of live clauses (problem + learnt).
-    pub fn num_clauses(&self) -> usize {
-        self.clauses.iter().filter(|c| !c.deleted).count()
-    }
-
     /// Cumulative statistics.
     pub fn stats(&self) -> SolverStats {
         self.stats

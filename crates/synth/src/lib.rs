@@ -82,12 +82,6 @@ impl SynthesisConfig {
         self.seed = seed;
         self
     }
-
-    /// Replace the effort (builder style).
-    pub fn with_effort(mut self, effort: u8) -> Self {
-        self.effort = effort;
-        self
-    }
 }
 
 /// Synthesize `input` into the configured library.

@@ -1,7 +1,7 @@
 //! Service-mode integration test: the acceptance criteria of the
 //! campaign-as-a-service daemon, end to end over real TCP.
 //!
-//! One daemon process (in-process reactor + executor threads), raw
+//! One daemon process (in-process reactor + executor thread), raw
 //! NDJSON clients, a real (tiny) attack campaign:
 //!
 //! 1. a TCP `submit` is accepted and executed on the stage-DAG engine;
@@ -15,7 +15,7 @@
 //!    namespaced store entries, counted against its own usage.
 
 use gnnunlock::engine::testing::TempDir;
-use gnnunlock::engine::{tenant_usage, Event, Json};
+use gnnunlock::engine::{Event, Json};
 use gnnunlock::gnn::{SaintConfig, TrainConfig};
 use gnnunlock::prelude::*;
 use std::io::{BufRead, BufReader, Write};
@@ -244,8 +244,9 @@ fn daemon_serves_submits_streams_and_dedups() {
     };
 
     // --- Cancel path: a second campaign queued behind the running one
-    // is withdrawn before it ever executes (queue_workers = 1, so it
-    // cannot start while the first is running).
+    // is withdrawn before it ever executes (the daemon runs one
+    // campaign at a time, so it cannot start while the first is
+    // running).
     let cancel_payload = submission_json("acme").replace("svc-real", "svc-cancelled");
     let cancel_id = Submission::from_str(&cancel_payload).unwrap().campaign_id();
     let doc = request(
@@ -376,17 +377,21 @@ fn daemon_serves_submits_streams_and_dedups() {
             .is_dir(),
         "tenant entries must live under their namespace"
     );
-    let usage = tenant_usage(&rival_dir).unwrap();
+    let rival_bytes = DiskStore::open_namespaced(&rival_dir, "rival")
+        .unwrap()
+        .usage_bytes();
     assert!(
-        usage.get("rival").copied().unwrap_or(0) > 0,
-        "tenant usage must account the namespaced entries: {usage:?}"
+        rival_bytes > 0,
+        "tenant usage must account the namespaced entries"
     );
     assert!(
-        !usage.contains_key(""),
-        "no entries may leak into the default namespace: {usage:?}"
+        DiskStore::open(&rival_dir).unwrap().is_empty(),
+        "no entries may leak into the default namespace"
     );
-    let acme_usage = tenant_usage(&campaign_dir).unwrap();
-    assert!(acme_usage.get("acme").copied().unwrap_or(0) > 0);
+    let acme_bytes = DiskStore::open_namespaced(&campaign_dir, "acme")
+        .unwrap()
+        .usage_bytes();
+    assert!(acme_bytes > 0);
     let doc = request(addr, &format!(r#"{{"op":"report","id":"{rival_id}"}}"#));
     assert_eq!(
         str_field(&doc, "report"),

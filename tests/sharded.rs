@@ -178,30 +178,6 @@ fn probe_ahead_elides_interior_stages_nobody_needs() {
         "an elided stage must never be claimed for execution"
     );
     assert!(!entry.exists(), "elision must not materialize the entry");
-
-    // With probe-ahead disabled the same shard recomputes it.
-    let sharded = campaign
-        .execute_sharded(
-            &runner,
-            ExecConfig::with_workers(2),
-            &dir,
-            &ShardConfig::new("noprobe").with_probe_ahead(false),
-        )
-        .unwrap();
-    assert!(sharded.run.outcome.all_succeeded());
-    let replay = EventLog::replay(&dir.join("events-noprobe.jsonl")).unwrap();
-    assert!(
-        replay
-            .events
-            .iter()
-            .any(|e| matches!(e, Event::JobClaimed { label, .. } if label == victim)),
-        "without probe-ahead the missing entry is recomputed"
-    );
-    assert!(entry.exists(), "recompute must re-publish the entry");
-    assert_eq!(
-        sharded.run.report(ReportOptions::default()).to_json(),
-        reference_report
-    );
 }
 
 // ---------------------------------------------------------------------
