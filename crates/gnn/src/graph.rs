@@ -9,7 +9,7 @@
 //! — so the parallel, fused kernels are bit-identical to the historical
 //! sum-then-scale passes for any thread count.
 
-use gnnunlock_neural::{Matrix, Workspace};
+use gnnunlock_neural::{kernel_threads, Matrix, Workspace};
 
 /// Undirected graph in compressed-sparse-row form.
 ///
@@ -165,10 +165,7 @@ impl Csr {
         );
         let cols = x.cols();
         let n_threads = if self.num_nodes() >= 2048 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(16)
+            kernel_threads()
         } else {
             1
         };

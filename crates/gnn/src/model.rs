@@ -274,9 +274,10 @@ impl SageModel {
     /// Takes ownership of `x` (it is saved in the cache for the backward
     /// pass and returned to the pool by [`ForwardCache::recycle`]).
     /// Bit-identical to the allocating path; allocation-free once the
-    /// workspace is warm. The encoder product uses the sparse-aware
-    /// kernel — its input is the featurization matrix, which is mostly
-    /// exact zeros (one-hot gate encodings) by construction.
+    /// workspace is warm. Every product, the encoder's included, runs
+    /// on the dense tile: the features are gate-class histograms and
+    /// fan-in/fan-out counts, about 55% nonzero on Bench8 and 23% on
+    /// LPE65, too dense for a zero-skipping kernel to pay.
     ///
     /// # Panics
     ///
@@ -290,14 +291,11 @@ impl SageModel {
     ) -> ForwardCache {
         let n = x.rows();
         let h = self.config.hidden;
-        let mut h0 = self.encoder.forward_ws(&x, true, ws);
+        let mut h0 = self.encoder.forward_ws(&x, ws);
         relu_inplace(&mut h0);
         let masks = dropout_seed.map(|seed| {
-            [
-                DropoutMask::sample_pooled(n, h, self.config.dropout, seed, ws),
-                DropoutMask::sample_pooled(n, h, self.config.dropout, seed ^ 0x9e37, ws),
-                DropoutMask::sample_pooled(n, h, self.config.dropout, seed ^ 0x79b9, ws),
-            ]
+            let seeds = [seed, seed ^ 0x9e37, seed ^ 0x79b9];
+            DropoutMask::sample_streams(n, h, self.config.dropout, seeds, ws)
         });
         if let Some(m) = &masks {
             m[0].apply(&mut h0);
@@ -307,7 +305,7 @@ impl SageModel {
         let mut cat1 = ws.take(n, 2 * h);
         h0.hconcat_into(&agg1, &mut cat1);
         ws.recycle(agg1);
-        let mut h1 = self.layer1.forward_ws(&cat1, false, ws);
+        let mut h1 = self.layer1.forward_ws(&cat1, ws);
         relu_inplace(&mut h1);
         if let Some(m) = &masks {
             m[1].apply(&mut h1);
@@ -317,12 +315,12 @@ impl SageModel {
         let mut cat2 = ws.take(n, 2 * h);
         h1.hconcat_into(&agg2, &mut cat2);
         ws.recycle(agg2);
-        let mut h2 = self.layer2.forward_ws(&cat2, false, ws);
+        let mut h2 = self.layer2.forward_ws(&cat2, ws);
         relu_inplace(&mut h2);
         if let Some(m) = &masks {
             m[2].apply(&mut h2);
         }
-        let logits = self.head.forward_ws(&h2, false, ws);
+        let logits = self.head.forward_ws(&h2, ws);
         ForwardCache {
             x,
             h0,
@@ -393,10 +391,8 @@ impl SageModel {
         relu_backward_inplace(&cache.h0, &mut g_h0);
         // Input layer: weight/bias gradients only — the historical path
         // also computed (and discarded) the gradient w.r.t. the raw
-        // features, an entire N x feature_len product per epoch. The
-        // input is the sparse featurization matrix, like the forward
-        // encoder product.
-        let (enc_w, enc_b) = self.encoder.backward_weights_ws(&cache.x, &g_h0, true, ws);
+        // features, an entire N x feature_len product per epoch.
+        let (enc_w, enc_b) = self.encoder.backward_weights_ws(&cache.x, &g_h0, ws);
         ws.recycle(g_h0);
         ModelGrads {
             enc_w,
@@ -441,8 +437,9 @@ impl SageModel {
         for m in held {
             ws.recycle(m);
         }
-        // Packing panels: forward products (the sparse encoder packs
-        // nothing), and the backward a·bᵀ products against each weight.
+        // Packing panels: the forward products against each weight and
+        // the backward a·bᵀ products against each weight (the weight
+        // gradients, aᵀ·b, read both operands in place and pack nothing).
         ws.warm_pack(2 * h, h);
         ws.warm_pack(h, c);
         ws.warm_pack(h, 2 * h);

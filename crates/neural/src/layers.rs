@@ -9,7 +9,7 @@
 use crate::matrix::Matrix;
 use crate::workspace::Workspace;
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::{RngCore, SeedableRng};
 
 /// A fully connected layer `y = x W + b`.
 #[derive(Debug, Clone)]
@@ -57,25 +57,17 @@ impl Linear {
     /// Panics if `x.cols() != in_dim`.
     pub fn forward(&self, x: &Matrix) -> Matrix {
         let mut ws = Workspace::new();
-        self.forward_ws(x, false, &mut ws)
+        self.forward_ws(x, &mut ws)
     }
 
     /// [`Linear::forward`] with workspace-owned output and pack scratch.
-    /// When `sparse_input` is set, the product uses the skip-branch
-    /// kernel ([`Matrix::matmul_sparse_aware`]) — profitable only when
-    /// `x` is provably sparse (one-hot featurization matrices), and
-    /// bit-identical either way.
     ///
     /// # Panics
     ///
     /// Panics if `x.cols() != in_dim`.
-    pub fn forward_ws(&self, x: &Matrix, sparse_input: bool, ws: &mut Workspace) -> Matrix {
+    pub fn forward_ws(&self, x: &Matrix, ws: &mut Workspace) -> Matrix {
         let mut y = ws.take(x.rows(), self.out_dim());
-        if sparse_input {
-            x.matmul_sparse_aware_into(&self.weight, &mut y);
-        } else {
-            x.matmul_into(&self.weight, &mut y, ws);
-        }
+        x.matmul_into(&self.weight, &mut y, ws);
         for r in 0..y.rows() {
             for (v, b) in y.row_mut(r).iter_mut().zip(&self.bias) {
                 *v += b;
@@ -122,10 +114,7 @@ impl Linear {
 
     /// Weight and bias gradients only — for the input layer, whose
     /// input gradient nobody consumes (the historical path computed and
-    /// discarded a whole `N x in_dim` product per epoch). With
-    /// `sparse_input` set, the weight gradient uses the skip-branch
-    /// kernel — profitable exactly when `x` is the provably sparse
-    /// featurization matrix, and bit-identical either way.
+    /// discarded a whole `N x in_dim` product per epoch).
     ///
     /// # Panics
     ///
@@ -134,15 +123,10 @@ impl Linear {
         &self,
         x: &Matrix,
         grad_y: &Matrix,
-        sparse_input: bool,
         ws: &mut Workspace,
     ) -> (Matrix, Vec<f32>) {
         let mut weight = ws.take(x.cols(), grad_y.cols());
-        if sparse_input {
-            x.transpose_matmul_sparse_aware_into(grad_y, &mut weight);
-        } else {
-            x.transpose_matmul_into(grad_y, &mut weight);
-        }
+        x.transpose_matmul_into(grad_y, &mut weight);
         let mut bias = ws.take(1, self.out_dim()).into_vec();
         for r in 0..grad_y.rows() {
             for (b, &g) in bias.iter_mut().zip(grad_y.row(r)) {
@@ -218,27 +202,44 @@ impl DropoutMask {
     ///
     /// Panics if `p` is not in `[0, 1)`.
     pub fn sample(rows: usize, cols: usize, p: f64, seed: u64) -> Self {
-        let mut ws = Workspace::new();
-        Self::sample_pooled(rows, cols, p, seed, &mut ws)
+        let [mask] = Self::sample_streams(rows, cols, p, [seed], &mut Workspace::new());
+        mask
     }
 
-    /// [`DropoutMask::sample`] with the mask buffer taken from `ws`
-    /// (identical RNG stream, so identical masks). Return it with
-    /// [`DropoutMask::recycle`].
+    /// One mask per seed, each exactly the mask [`DropoutMask::sample`]
+    /// draws from that seed, with the buffers taken from `ws` (return
+    /// them with [`DropoutMask::recycle`]). The `N` generators step in
+    /// one loop, so the CPU runs `N` independent dependency chains;
+    /// each makes the same draws in the same order as on its own.
+    ///
+    /// An element survives when `random_bool(1 - p)` would say so: that
+    /// draw is `(x >> 11) as f64 * 2⁻⁵³ < keep`, and scaling both sides
+    /// by 2⁵³ is exact, so the loop compares `(x >> 11) as f64` against
+    /// `keep · 2⁵³` and skips the per-draw range check and multiply.
     ///
     /// # Panics
     ///
     /// Panics if `p` is not in `[0, 1)`.
-    pub fn sample_pooled(rows: usize, cols: usize, p: f64, seed: u64, ws: &mut Workspace) -> Self {
+    pub fn sample_streams<const N: usize>(
+        rows: usize,
+        cols: usize,
+        p: f64,
+        seeds: [u64; N],
+        ws: &mut Workspace,
+    ) -> [Self; N] {
         assert!((0.0..1.0).contains(&p), "dropout p must be in [0,1)");
-        let mut rng = StdRng::seed_from_u64(seed);
         let keep = 1.0 - p;
+        let threshold = keep * (1u64 << 53) as f64;
         let scale = (1.0 / keep) as f32;
-        let mut mask = ws.take(rows, cols).into_vec();
-        for m in mask.iter_mut() {
-            *m = if rng.random_bool(keep) { scale } else { 0.0 };
+        let mut rngs = seeds.map(StdRng::seed_from_u64);
+        let mut masks = [(); N].map(|_| ws.take(rows, cols).into_vec());
+        for i in 0..rows * cols {
+            for (mask, rng) in masks.iter_mut().zip(&mut rngs) {
+                let kept = ((rng.next_u64() >> 11) as f64) < threshold;
+                mask[i] = if kept { scale } else { 0.0 };
+            }
         }
-        DropoutMask { mask, rows, cols }
+        masks.map(|mask| DropoutMask { mask, rows, cols })
     }
 
     /// Return the mask buffer to the workspace pool.
@@ -322,6 +323,34 @@ mod tests {
         let gx = relu_backward(&a, &g);
         assert_eq!(gx.row(0), &[0.0, 1.0]);
         assert_eq!(gx.row(1), &[0.0, 0.0]);
+    }
+
+    /// The masks of one forward pass, drawn in one loop from the three
+    /// seeds the model derives, equal three separate draws bit for bit,
+    /// and each equals the historical per-element `random_bool` stream.
+    #[test]
+    fn one_loop_masks_match_separate_draws() {
+        use rand::RngExt;
+        let (rows, cols, seed) = (709, 48, 0x5eed_u64);
+        let seeds = [seed, seed ^ 0x9e37, seed ^ 0x79b9];
+        for p in [0.1, 0.5] {
+            let masks = DropoutMask::sample_streams(rows, cols, p, seeds, &mut Workspace::new());
+            for (mask, s) in masks.iter().zip(seeds) {
+                let alone = DropoutMask::sample(rows, cols, p, s);
+                let mut rng = StdRng::seed_from_u64(s);
+                let scale = (1.0 / (1.0 - p)) as f32;
+                let historical: Vec<u32> = (0..rows * cols)
+                    .map(|_| {
+                        let m = if rng.random_bool(1.0 - p) { scale } else { 0.0 };
+                        m.to_bits()
+                    })
+                    .collect();
+                let bits = |m: &DropoutMask| m.mask.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!((mask.rows, mask.cols), (rows, cols));
+                assert_eq!(bits(mask), bits(&alone), "p {p} seed {s:#x}");
+                assert_eq!(bits(mask), historical, "p {p} seed {s:#x}");
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! The product family (`matmul`, `transpose_matmul`, `matmul_transpose`)
 //! is the training hot path, so it is implemented as a register-tiled
-//! GEMM over packed panels. Three constraints shape the kernels:
+//! GEMM. Three constraints shape the kernels:
 //!
 //! 1. **Fixed reduction order.** Every output element accumulates its
 //!    terms in ascending reduction-index order — exactly the order the
@@ -22,22 +22,45 @@
 //!    parallel split is over outputs, where the "merge" is trivially
 //!    order-free.
 //! 3. **No hidden allocation.** Every product has an `_into` variant
-//!    writing a caller-provided output and borrowing pack scratch from a
-//!    [`Workspace`], so steady-state callers (the per-epoch training
-//!    step) run allocation-free. The plain methods are conveniences that
-//!    allocate and delegate.
+//!    writing a caller-provided output and borrowing its one pack
+//!    buffer from a [`Workspace`] (`transpose_matmul` needs none), so
+//!    steady-state callers (the per-epoch training step) run
+//!    allocation-free. The plain methods are conveniences that allocate
+//!    and delegate.
 //!
-//! The micro-kernel computes an `MR x NR` output tile with accumulators
-//! held in registers across the whole reduction; `b` is packed into
-//! `NR`-wide column panels (zero-padded at the edge — padded lanes are
-//! arithmetic on discarded outputs, so padding never perturbs a valid
-//! element). The dense kernels have **no** `a == 0.0` skip branch: for
-//! finite inputs, adding `0.0 * b` to a running sum that started at
-//! `+0.0` is a bitwise no-op (the sum can never become `-0.0` under
+//! One micro-kernel serves all three products: an `MR x NR` = 8×16
+//! output tile whose eight 16-lane accumulator rows stay in registers
+//! for the whole reduction (the register-tiled GEMM of Goto & van de
+//! Geijn, "Anatomy of High-Performance Matrix Multiplication", ACM TOMS
+//! 34(3), 2008). Each step loads one 16-lane row of the `b` panel and
+//! adds eight broadcast `a` elements times it, one multiply and one add
+//! per element. The products differ only in how the tile reads its
+//! operands:
+//!
+//! - `matmul` packs `b` into `NR`-wide column panels (zero-padded at
+//!   the edge — padded lanes are arithmetic on discarded outputs);
+//! - `matmul_transpose` packs `bᵀ` the same way, so the transposition
+//!   is the packing itself;
+//! - `transpose_matmul` packs nothing: the tile's eight rows are eight
+//!   adjacent columns of `a` (eight contiguous floats at each reduction
+//!   step), and it reads the rows of `b` in place.
+//!
+//! Builds that target AVX-512F (the workspace builds with
+//! `target-cpu=native`) run the tile as `_mm512_mul_ps` +
+//! `_mm512_add_ps` on one `zmm` register per accumulator row; every
+//! other build runs its portable twin, eight hand-written 16-lane rows
+//! that LLVM vectorizes at whatever width the target has. The choice is
+//! made by `cfg(target_feature)` alone, and the tests hold both tiles
+//! to [`reference`] on every machine that builds them.
+//!
+//! The kernels have **no** `a == 0.0` skip branch: for finite inputs,
+//! adding `0.0 * b` to a running sum that started at `+0.0` is a
+//! bitwise no-op (the sum can never become `-0.0` under
 //! round-to-nearest), so dropping the branch is both faster and
-//! bit-exact. A skip-branch variant survives as
-//! [`Matrix::matmul_sparse_aware`] for provably sparse left operands
-//! (one-hot featurization matrices).
+//! bit-exact. The skip would not pay on this workload's inputs either:
+//! the node features are two-hop gate-class histograms plus fan-in and
+//! fan-out counts, not one-hot codes, and about 55% of their entries
+//! are nonzero on Bench8 (13 columns) and 23% on LPE65 (34 columns).
 //!
 //! # Examples
 //!
@@ -53,6 +76,7 @@ use crate::workspace::Workspace;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A dense row-major matrix of `f32`.
 ///
@@ -76,8 +100,20 @@ pub struct Matrix {
 /// per-thread work would not amortize a spawn).
 const PARALLEL_THRESHOLD: usize = 128;
 
+/// Threads a data-parallel kernel may use: the CPUs this process may
+/// run on, capped at 16. Read once per process and cached — asking the
+/// OS reads cgroup files, which cost more than a small product.
+pub fn kernel_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(16)
+    })
+}
+
 /// Micro-kernel tile height (output rows per register tile).
-const MR: usize = 4;
+const MR: usize = 8;
 
 /// Micro-kernel tile width (output columns per register tile). One
 /// packed `b` panel is `NR` columns wide.
@@ -217,16 +253,7 @@ impl Matrix {
     /// Panics if `self.cols != other.rows`.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows, other.cols);
-        let mut pack = Vec::new();
-        kernels::pack_b(&other.data, &mut pack, other.rows, other.cols);
-        kernels::gemm(
-            &self.data,
-            &pack,
-            &mut out.data,
-            self.rows,
-            self.cols_checked(other.rows, "matmul"),
-            other.cols,
-        );
+        self.matmul_into(other, &mut out, &mut Workspace::new());
         out
     }
 
@@ -238,73 +265,21 @@ impl Matrix {
     ///
     /// Panics if `self.cols != other.rows` or `out` has the wrong shape.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix, ws: &mut Workspace) {
+        let k = self.cols_checked(other.rows, "matmul_into");
         assert_eq!(
             (out.rows, out.cols),
             (self.rows, other.cols),
             "matmul_into output shape mismatch"
         );
-        let pack = ws.pack_buf(kernels::packed_len(other.rows, other.cols));
-        kernels::pack_b(&other.data, pack, other.rows, other.cols);
+        let pack = ws.pack_buf(kernels::packed_len(k, other.cols));
+        kernels::pack_b(&other.data, pack, k, other.cols);
         kernels::gemm(
-            &self.data,
-            pack,
+            kernels::Lhs::rows(&self.data, k),
+            kernels::Rhs::packed(pack, k),
             &mut out.data,
-            self.rows,
-            self.cols_checked(other.rows, "matmul_into"),
+            k,
             other.cols,
         );
-    }
-
-    /// `self * other` with the historical `a == 0.0` skip branch — the
-    /// profitable kernel when `self` is provably sparse (the one-hot
-    /// featurization matrices, where most of each row is exactly zero,
-    /// so whole `b`-row passes are skipped). Bit-identical to
-    /// [`Matrix::matmul`] for finite inputs: the skipped terms are
-    /// `0.0 * b` additions, which never change a sum that started at
-    /// `+0.0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != other.rows`.
-    pub fn matmul_sparse_aware(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        self.matmul_sparse_aware_into(other, &mut out);
-        out
-    }
-
-    /// [`Matrix::matmul_sparse_aware`] into a caller-provided output
-    /// (no workspace needed — the skip kernel packs nothing). `out` is
-    /// fully overwritten.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != other.rows` or `out` has the wrong shape.
-    pub fn matmul_sparse_aware_into(&self, other: &Matrix, out: &mut Matrix) {
-        self.cols_checked(other.rows, "matmul_sparse_aware");
-        assert_eq!(
-            (out.rows, out.cols),
-            (self.rows, other.cols),
-            "matmul_sparse_aware_into output shape mismatch"
-        );
-        let n = other.cols;
-        let (a, b) = (&self.data, &other.data);
-        let k = self.cols;
-        kernels::for_row_blocks(self.rows, &mut out.data, n, |r0, block| {
-            for (local, out_row) in block.chunks_mut(n.max(1)).enumerate() {
-                let r = r0 + local;
-                out_row.fill(0.0);
-                let a_row = &a[r * k..(r + 1) * k];
-                for (kk, &av) in a_row.iter().enumerate() {
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let b_row = &b[kk * n..(kk + 1) * n];
-                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                        *o += av * bv;
-                    }
-                }
-            }
-        });
     }
 
     /// `selfᵀ * other` (used for weight gradients).
@@ -320,13 +295,11 @@ impl Matrix {
         out
     }
 
-    /// `selfᵀ * other` into a caller-provided output. Parallel over
-    /// blocks of *output* rows (columns of `self`): each thread owns a
-    /// contiguous block and walks the shared reduction dimension in
-    /// ascending order, so the result is bit-identical to the serial
-    /// naive kernel for any thread count. The inner loop is unrolled
-    /// over four reduction rows, turning four loads + four stores of the
-    /// output row into one of each. `out` is fully overwritten.
+    /// `selfᵀ * other` into a caller-provided output, on the same tile
+    /// as [`Matrix::matmul`] with no scratch: the tile reads eight
+    /// adjacent columns of `self` (eight contiguous floats at each
+    /// reduction step) and `other`'s rows in place, so nothing is
+    /// transposed or packed. `out` is fully overwritten.
     ///
     /// # Panics
     ///
@@ -338,47 +311,13 @@ impl Matrix {
             (self.cols, other.cols),
             "transpose_matmul_into output shape mismatch"
         );
-        let (m, ca, cb) = (self.rows, self.cols, other.cols);
-        let (a, b) = (&self.data, &other.data);
-        kernels::for_row_blocks(ca, &mut out.data, cb, |i0, block| {
-            kernels::tmm_block(a, b, block, m, ca, cb, i0, block.len() / cb.max(1));
-        });
-    }
-
-    /// `selfᵀ * other` with the historical `a == 0.0` skip branch — the
-    /// profitable weight-gradient kernel when `self` is provably sparse
-    /// (the one-hot featurization matrix feeding the encoder layer:
-    /// most of each row is exactly zero, so whole output-row updates
-    /// are skipped). Bit-identical to
-    /// [`Matrix::transpose_matmul_into`] for finite inputs, for the
-    /// same reason the dense/sparse `matmul` pair agrees. `out` is
-    /// fully overwritten.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows != other.rows` or `out` has the wrong shape.
-    pub fn transpose_matmul_sparse_aware_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.rows, other.rows, "transpose_matmul shape mismatch");
-        assert_eq!(
-            (out.rows, out.cols),
-            (self.cols, other.cols),
-            "transpose_matmul_sparse_aware_into output shape mismatch"
+        kernels::gemm(
+            kernels::Lhs::cols(&self.data, self.cols),
+            kernels::Rhs::in_place(&other.data, other.cols),
+            &mut out.data,
+            self.rows,
+            other.cols,
         );
-        out.data.fill(0.0);
-        let cb = other.cols;
-        for r in 0..self.rows {
-            let a_row = self.row(r);
-            let b_row = other.row(r);
-            for (i, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[i * cb..(i + 1) * cb];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += av * bv;
-                }
-            }
-        }
     }
 
     /// `self * otherᵀ` (used for input gradients).
@@ -390,43 +329,32 @@ impl Matrix {
     /// Panics if `self.cols != other.cols`.
     pub fn matmul_transpose(&self, other: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows, other.rows);
-        let mut pack = Vec::new();
-        kernels::pack_bt(&other.data, &mut pack, other.cols, other.rows);
-        kernels::gemm(
-            &self.data,
-            &pack,
-            &mut out.data,
-            self.rows,
-            self.cols_checked(other.cols, "matmul_transpose"),
-            other.rows,
-        );
+        self.matmul_transpose_into(other, &mut out, &mut Workspace::new());
         out
     }
 
     /// `self * otherᵀ`, written into `out` with pack scratch borrowed
     /// from `ws`. The transposition happens during panel packing (pure
-    /// data movement), after which the strict-order dot products run as
-    /// register-tiled GEMM instead of scalar reduction chains — the
-    /// largest single win of the kernel overhaul. `out` is fully
-    /// overwritten.
+    /// data movement), after which the product runs on the same tile as
+    /// [`Matrix::matmul`]. `out` is fully overwritten.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols != other.cols` or `out` has the wrong shape.
     pub fn matmul_transpose_into(&self, other: &Matrix, out: &mut Matrix, ws: &mut Workspace) {
+        let k = self.cols_checked(other.cols, "matmul_transpose_into");
         assert_eq!(
             (out.rows, out.cols),
             (self.rows, other.rows),
             "matmul_transpose_into output shape mismatch"
         );
-        let pack = ws.pack_buf(kernels::packed_len(other.cols, other.rows));
-        kernels::pack_bt(&other.data, pack, other.cols, other.rows);
+        let pack = ws.pack_buf(kernels::packed_len(k, other.rows));
+        kernels::pack_bt(&other.data, pack, k, other.rows);
         kernels::gemm(
-            &self.data,
-            pack,
+            kernels::Lhs::rows(&self.data, k),
+            kernels::Rhs::packed(pack, k),
             &mut out.data,
-            self.rows,
-            self.cols_checked(other.cols, "matmul_transpose_into"),
+            k,
             other.rows,
         );
     }
@@ -575,11 +503,207 @@ pub(crate) fn packed_len(k: usize, n: usize) -> usize {
     kernels::packed_len(k, n)
 }
 
-/// The tiled kernels. Free functions over flat slices so the same GEMM
-/// serves `matmul` (packed `b`), `matmul_transpose` (packed `bᵀ`) and
-/// the parallel drivers.
+/// The tiled kernels. Free functions over flat slices so one GEMM
+/// driver and one register tile serve `matmul` (packed `b`),
+/// `matmul_transpose` (packed `bᵀ`) and `transpose_matmul` (`aᵀ` and
+/// `b` read in place).
 mod kernels {
-    use super::{MR, NR, PARALLEL_THRESHOLD};
+    use super::{kernel_threads, MR, NR, PARALLEL_THRESHOLD};
+
+    /// The left operand as the tile reads it: element `(i, kk)` of the
+    /// logical `m x k` matrix is `data[i * row + kk * step]`.
+    #[derive(Clone, Copy)]
+    pub(super) struct Lhs<'a> {
+        data: &'a [f32],
+        row: usize,
+        step: usize,
+    }
+
+    impl<'a> Lhs<'a> {
+        /// A row-major `m x k` matrix.
+        pub(super) fn rows(data: &'a [f32], k: usize) -> Self {
+            Lhs {
+                data,
+                row: k,
+                step: 1,
+            }
+        }
+
+        /// The transpose of a row-major matrix with `cols` columns: its
+        /// logical row `i` is column `i`, so the tile's eight rows are
+        /// eight contiguous floats at each reduction step.
+        pub(super) fn cols(data: &'a [f32], cols: usize) -> Self {
+            Lhs {
+                data,
+                row: 1,
+                step: cols,
+            }
+        }
+    }
+
+    /// The right operand as `NR`-wide column panels: row `kk` of panel
+    /// `p` starts at `data[p * panel + kk * row]`.
+    #[derive(Clone, Copy)]
+    pub(super) struct Rhs<'a> {
+        data: &'a [f32],
+        panel: usize,
+        row: usize,
+    }
+
+    impl<'a> Rhs<'a> {
+        /// Panels packed by [`pack_b`] or [`pack_bt`] for a reduction of
+        /// length `k`.
+        pub(super) fn packed(data: &'a [f32], k: usize) -> Self {
+            Rhs {
+                data,
+                panel: k * NR,
+                row: NR,
+            }
+        }
+
+        /// A row-major matrix with `n` columns, read in place.
+        pub(super) fn in_place(data: &'a [f32], n: usize) -> Self {
+            Rhs {
+                data,
+                panel: NR,
+                row: n,
+            }
+        }
+    }
+
+    /// An `MR x NR` register tile: `tile(a, rows, b, b_row, k, w)[i][j]`
+    /// is `Σ_{kk < k} a.data[rows[i] + kk * a.step] · b[kk * b_row + j]`
+    /// for the `w` valid lanes `j < w` (later lanes are unspecified and
+    /// never stored). `rows[i]` is the offset of the tile's row `i` in
+    /// `a`, and `b` starts at the panel. Every element starts at `+0.0`
+    /// and adds its terms in ascending `kk`, one multiply and one add
+    /// per term: the order of the naive kernels.
+    pub(super) type Tile = fn(Lhs<'_>, [usize; MR], &[f32], usize, usize, usize) -> [[f32; NR]; MR];
+
+    /// The tile this build runs: AVX-512F when the build targets it,
+    /// else the portable one. Both produce the same bits.
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    pub(super) const TILE: Tile = tile_avx512;
+    #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+    pub(super) const TILE: Tile = tile_portable;
+
+    /// Panics unless every element a tile over `k` reduction steps and
+    /// `w` lanes reads lies inside `a` and `b` — the one bounds check
+    /// that covers the tile's whole loop.
+    fn check_tile_bounds(
+        a: Lhs<'_>,
+        rows: &[usize; MR],
+        b: &[f32],
+        b_row: usize,
+        k: usize,
+        w: usize,
+    ) {
+        assert!((1..=NR).contains(&w), "tile width {w} out of range");
+        let last = k - 1;
+        let max_row = rows.iter().copied().max().unwrap_or(0);
+        assert!(max_row + last * a.step < a.data.len(), "tile reads past a");
+        assert!(last * b_row + w <= b.len(), "tile reads past b");
+    }
+
+    /// The portable tile: eight accumulator rows written out by hand
+    /// (LLVM vectorizes each 16-lane row update; a nested `for i in
+    /// 0..MR` loop it does not). Builds that run the AVX-512F tile still
+    /// compile it, and their tests hold it to the naive kernels too.
+    #[cfg_attr(
+        all(not(test), target_arch = "x86_64", target_feature = "avx512f"),
+        allow(dead_code)
+    )]
+    pub(super) fn tile_portable(
+        a: Lhs<'_>,
+        rows: [usize; MR],
+        b: &[f32],
+        b_row: usize,
+        k: usize,
+        w: usize,
+    ) -> [[f32; NR]; MR] {
+        #[inline(always)]
+        fn axpy(c: &mut [f32; NR], av: f32, bv: &[f32; NR]) {
+            for (t, &x) in c.iter_mut().zip(bv) {
+                *t += av * x;
+            }
+        }
+        let [mut c0, mut c1, mut c2, mut c3, mut c4, mut c5, mut c6, mut c7] = [[0.0f32; NR]; MR];
+        if k == 0 {
+            return [c0, c1, c2, c3, c4, c5, c6, c7];
+        }
+        check_tile_bounds(a, &rows, b, b_row, k, w);
+        let mut edge = [0.0f32; NR];
+        for kk in 0..k {
+            // A full-width load wherever one fits in `b`; lanes past `w`
+            // then hold padding or neighbouring elements, whose sums are
+            // never stored.
+            let src = &b[kk * b_row..];
+            let bv = match src.first_chunk::<NR>() {
+                Some(full) => full,
+                None => {
+                    edge[..w].copy_from_slice(&src[..w]);
+                    &edge
+                }
+            };
+            // SAFETY: check_tile_bounds proved `rows[i] + kk * a.step`
+            // in bounds for every row and every `kk < k`.
+            let at = |i: usize| unsafe { *a.data.get_unchecked(rows[i] + kk * a.step) };
+            axpy(&mut c0, at(0), bv);
+            axpy(&mut c1, at(1), bv);
+            axpy(&mut c2, at(2), bv);
+            axpy(&mut c3, at(3), bv);
+            axpy(&mut c4, at(4), bv);
+            axpy(&mut c5, at(5), bv);
+            axpy(&mut c6, at(6), bv);
+            axpy(&mut c7, at(7), bv);
+        }
+        [c0, c1, c2, c3, c4, c5, c6, c7]
+    }
+
+    /// The AVX-512F tile: one 16-lane register per accumulator row,
+    /// `_mm512_mul_ps` then `_mm512_add_ps` (never a fused multiply-add,
+    /// which rounds once and would change the bits), and a masked load
+    /// for a panel narrower than `NR`, which never touches the lanes it
+    /// masks off.
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    pub(super) fn tile_avx512(
+        a: Lhs<'_>,
+        rows: [usize; MR],
+        b: &[f32],
+        b_row: usize,
+        k: usize,
+        w: usize,
+    ) -> [[f32; NR]; MR] {
+        use std::arch::x86_64::{
+            _mm512_add_ps, _mm512_maskz_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+            _mm512_storeu_ps,
+        };
+        let mut out = [[0.0f32; NR]; MR];
+        if k == 0 {
+            return out;
+        }
+        check_tile_bounds(a, &rows, b, b_row, k, w);
+        let mask = ((1u32 << w) - 1) as u16;
+        // SAFETY: the build targets AVX-512F (the `cfg` above), and
+        // `check_tile_bounds` proved that every `a` element and every
+        // unmasked `b` lane the loop reads is in bounds; masked-off
+        // lanes are not accessed.
+        unsafe {
+            let (ap, bp) = (a.data.as_ptr(), b.as_ptr());
+            let mut c = [_mm512_setzero_ps(); MR];
+            for kk in 0..k {
+                let bv = _mm512_maskz_loadu_ps(mask, bp.add(kk * b_row));
+                let ak = ap.add(kk * a.step);
+                for (ci, &r) in c.iter_mut().zip(&rows) {
+                    *ci = _mm512_add_ps(*ci, _mm512_mul_ps(_mm512_set1_ps(*ak.add(r)), bv));
+                }
+            }
+            for (o, ci) in out.iter_mut().zip(c) {
+                _mm512_storeu_ps(o.as_mut_ptr(), ci);
+            }
+        }
+        out
+    }
 
     /// Packed length of a `k x n` panel matrix (zero-padded to whole
     /// `NR`-wide panels).
@@ -623,129 +747,45 @@ mod kernels {
         }
     }
 
-    /// `out = a * B` where `B` is pre-packed panels: the full GEMM over
-    /// one contiguous range of output rows, threaded by
-    /// [`for_row_blocks`].
-    pub(super) fn gemm(a: &[f32], bp: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        for_row_blocks(m, out, n, |r0, block| {
-            gemm_rows(a, bp, block, k, n, r0, block.len() / n.max(1));
-        });
+    /// `out = a * b` (`out` is `m x n`, flat) on this build's [`TILE`],
+    /// threaded by [`for_row_blocks`].
+    pub(super) fn gemm(a: Lhs<'_>, b: Rhs<'_>, out: &mut [f32], k: usize, n: usize) {
+        gemm_with(TILE, a, b, out, k, n);
     }
 
-    /// The serial GEMM body for output rows `r0 .. r0 + h` (`block` is
-    /// exactly those rows of `out`). Register tile `MR x NR`; every
-    /// output element reduces over `kk = 0..k` in ascending order.
-    fn gemm_rows(
-        a: &[f32],
-        bp: &[f32],
-        block: &mut [f32],
+    /// [`gemm`] on an explicit tile (the tests hold both tiles to the
+    /// naive kernels on every machine that can run them). Row tiles run
+    /// outer and panels inner, so a tile's rows of `a` stay in cache
+    /// across the panels. A tile on the last `h < MR` rows repeats the
+    /// last row in its spare rows and stores only the `h` it owns.
+    pub(super) fn gemm_with(
+        tile: Tile,
+        a: Lhs<'_>,
+        b: Rhs<'_>,
+        out: &mut [f32],
         k: usize,
         n: usize,
-        r0: usize,
-        h: usize,
     ) {
-        let panels = n.div_ceil(NR);
-        let mut local = 0;
-        while local + MR <= h {
-            let r = r0 + local;
-            for p in 0..panels {
-                let j0 = p * NR;
-                let w = (n - j0).min(NR);
-                let bpanel = &bp[p * k * NR..(p + 1) * k * NR];
-                let mut acc = [[0.0f32; NR]; MR];
-                for (kk, b_row) in bpanel.chunks_exact(NR).enumerate() {
-                    for i in 0..MR {
-                        let av = a[(r + i) * k + kk];
-                        for (t, &bv) in acc[i].iter_mut().zip(b_row) {
-                            *t += av * bv;
-                        }
+        if k == 0 {
+            out.fill(0.0);
+            return;
+        }
+        let m = out.len() / n.max(1);
+        for_row_blocks(m, out, n, |r0, block| {
+            let h = block.len() / n.max(1);
+            for t0 in (0..h).step_by(MR) {
+                let own = (h - t0).min(MR);
+                let rows = std::array::from_fn(|i| (r0 + t0 + i.min(own - 1)) * a.row);
+                for (p, j0) in (0..n).step_by(NR).enumerate() {
+                    let w = (n - j0).min(NR);
+                    let c = tile(a, rows, &b.data[p * b.panel..], b.row, k, w);
+                    for (i, c_row) in c[..own].iter().enumerate() {
+                        let o = (t0 + i) * n + j0;
+                        block[o..o + w].copy_from_slice(&c_row[..w]);
                     }
                 }
-                for (i, acc_row) in acc.iter().enumerate() {
-                    let row = (local + i) * n;
-                    block[row + j0..row + j0 + w].copy_from_slice(&acc_row[..w]);
-                }
             }
-            local += MR;
-        }
-        // Row remainder: single-row tiles, same reduction order.
-        while local < h {
-            let a_row = &a[(r0 + local) * k..(r0 + local + 1) * k];
-            for p in 0..panels {
-                let j0 = p * NR;
-                let w = (n - j0).min(NR);
-                let bpanel = &bp[p * k * NR..(p + 1) * k * NR];
-                let mut acc = [0.0f32; NR];
-                for (kk, b_row) in bpanel.chunks_exact(NR).enumerate() {
-                    let av = a_row[kk];
-                    for (t, &bv) in acc.iter_mut().zip(b_row) {
-                        *t += av * bv;
-                    }
-                }
-                let row = local * n;
-                block[row + j0..row + j0 + w].copy_from_slice(&acc[..w]);
-            }
-            local += 1;
-        }
-    }
-
-    /// `transpose_matmul` body for output rows `i0 .. i0 + h` (columns
-    /// `i0..` of `a`): in-place accumulation over the shared reduction
-    /// rows in ascending order, unrolled four reduction rows at a time
-    /// so each output row is loaded and stored once per four
-    /// contributions instead of once per contribution.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn tmm_block(
-        a: &[f32],
-        b: &[f32],
-        block: &mut [f32],
-        m: usize,
-        ca: usize,
-        cb: usize,
-        i0: usize,
-        h: usize,
-    ) {
-        block.fill(0.0);
-        const RB: usize = 4;
-        let mut r = 0;
-        while r + RB <= m {
-            for local in 0..h {
-                let i = i0 + local;
-                let avs = [
-                    a[r * ca + i],
-                    a[(r + 1) * ca + i],
-                    a[(r + 2) * ca + i],
-                    a[(r + 3) * ca + i],
-                ];
-                let out_row = &mut block[local * cb..(local + 1) * cb];
-                let b0 = &b[r * cb..(r + 1) * cb];
-                let b1 = &b[(r + 1) * cb..(r + 2) * cb];
-                let b2 = &b[(r + 2) * cb..(r + 3) * cb];
-                let b3 = &b[(r + 3) * cb..(r + 4) * cb];
-                let zipped = out_row.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3);
-                for ((((o, &v0), &v1), &v2), &v3) in zipped {
-                    // Ascending r within the unroll: o + p_r + p_{r+1} + ...
-                    let mut acc = *o;
-                    acc += avs[0] * v0;
-                    acc += avs[1] * v1;
-                    acc += avs[2] * v2;
-                    acc += avs[3] * v3;
-                    *o = acc;
-                }
-            }
-            r += RB;
-        }
-        while r < m {
-            let b_row = &b[r * cb..(r + 1) * cb];
-            for local in 0..h {
-                let av = a[r * ca + i0 + local];
-                let out_row = &mut block[local * cb..(local + 1) * cb];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += av * bv;
-                }
-            }
-            r += 1;
-        }
+        });
     }
 
     /// Split `out` (`rows x cols`, flat) into contiguous row blocks with
@@ -754,7 +794,7 @@ mod kernels {
     /// rows or when only one CPU is available. Because every output row
     /// is produced entirely by one invocation, the split never changes
     /// results, only wall-clock.
-    pub(super) fn for_row_blocks(
+    fn for_row_blocks(
         rows: usize,
         out: &mut [f32],
         cols: usize,
@@ -763,10 +803,7 @@ mod kernels {
         let threads = if rows < PARALLEL_THRESHOLD {
             1
         } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(16)
+            kernel_threads()
         };
         if threads <= 1 || cols == 0 {
             body(0, out);
@@ -907,24 +944,74 @@ mod tests {
         }
     }
 
+    /// `[a·b, aᵀ·b2, a·btᵀ]` on an explicit tile, with the operands the
+    /// product methods pass.
+    fn products_on(
+        tile: kernels::Tile,
+        a: &Matrix,
+        b: &Matrix,
+        b2: &Matrix,
+        bt: &Matrix,
+    ) -> [Matrix; 3] {
+        let (m, k) = (a.rows(), a.cols());
+        let lhs = kernels::Lhs::rows(&a.data, k);
+        let mut pack = Vec::new();
+        let mut mm = Matrix::zeros(m, b.cols());
+        kernels::pack_b(&b.data, &mut pack, k, b.cols());
+        let rhs = kernels::Rhs::packed(&pack, k);
+        kernels::gemm_with(tile, lhs, rhs, &mut mm.data, k, b.cols());
+        let mut tmm = Matrix::zeros(k, b2.cols());
+        let (lhs_t, rhs_t) = (
+            kernels::Lhs::cols(&a.data, k),
+            kernels::Rhs::in_place(&b2.data, b2.cols()),
+        );
+        kernels::gemm_with(tile, lhs_t, rhs_t, &mut tmm.data, m, b2.cols());
+        let mut mmt = Matrix::zeros(m, bt.rows());
+        kernels::pack_bt(&bt.data, &mut pack, k, bt.rows());
+        let rhs = kernels::Rhs::packed(&pack, k);
+        kernels::gemm_with(tile, lhs, rhs, &mut mmt.data, k, bt.rows());
+        [mm, tmm, mmt]
+    }
+
     /// The tiled kernels must reproduce the naive oracles bit for bit,
-    /// across tile-edge shapes and zero-laden inputs (the skip-branch
-    /// equivalence cases).
+    /// across tile-edge shapes and zero-laden inputs, on this build's
+    /// tile and on the portable one. The table holds a training epoch's
+    /// real shapes (a ~708-node SAINT subgraph: the hidden layers at
+    /// width 48, the 2- and 3-class heads as output width and as
+    /// reduction length, the 13- and 34-feature encoders, the daemon's
+    /// hidden 24), each also with a row count that is not a multiple of
+    /// the tile height.
     #[test]
     fn tiled_kernels_match_reference_bitwise() {
-        for (m, k, n, seed) in [
-            (1usize, 1usize, 1usize, 1u64),
-            (4, 16, 16, 2),
-            (5, 17, 19, 3),
-            (64, 33, 47, 4),
-            (130, 40, 30, 5),
-            (200, 96, 64, 6),
+        let mut shapes = vec![
+            (1usize, 1usize, 1usize),
+            (4, 16, 16),
+            (5, 17, 19),
+            (64, 33, 47),
+            (130, 40, 30),
+            (200, 96, 64),
+        ];
+        for (m, k, n) in [
+            (708, 96, 48),
+            (708, 48, 96),
+            (708, 48, 2),
+            (708, 48, 3),
+            (708, 2, 48),
+            (708, 3, 48),
+            (708, 13, 48),
+            (708, 34, 48),
+            (300, 48, 24),
         ] {
+            shapes.extend([(m, k, n), (m + 1, k, n)]);
+        }
+        for (i, &(m, k, n)) in shapes.iter().enumerate() {
+            let seed = i as u64 + 1;
             let mut a = Matrix::xavier(m, k, seed);
             let b = Matrix::xavier(k, n, seed ^ 0xff);
             let b2 = Matrix::xavier(m, n, seed ^ 0xa5);
             let bt = Matrix::xavier(n, k, seed ^ 0x5a);
-            // Plant exact zeros in a (the featurization pattern).
+            // Plant exact zeros in a: the naive kernels skip them, the
+            // tile adds `0.0 * b`.
             for r in 0..m {
                 for c in 0..k {
                     if (r + c).is_multiple_of(3) {
@@ -932,28 +1019,24 @@ mod tests {
                     }
                 }
             }
-            assert!(
-                bits_eq(&a.matmul(&b), &reference::matmul(&a, &b)),
-                "mm {m}x{k}x{n}"
-            );
-            assert!(
-                bits_eq(&a.matmul_sparse_aware(&b), &reference::matmul(&a, &b)),
-                "mm sparse {m}x{k}x{n}"
-            );
-            assert!(
-                bits_eq(
-                    &a.transpose_matmul(&b2),
-                    &reference::transpose_matmul(&a, &b2)
-                ),
-                "tmm {m}x{k}x{n}"
-            );
-            assert!(
-                bits_eq(
-                    &a.matmul_transpose(&bt),
-                    &reference::matmul_transpose(&a, &bt)
-                ),
-                "mmt {m}x{k}x{n}"
-            );
+            let want = [
+                reference::matmul(&a, &b),
+                reference::transpose_matmul(&a, &b2),
+                reference::matmul_transpose(&a, &bt),
+            ];
+            let built = [
+                a.matmul(&b),
+                a.transpose_matmul(&b2),
+                a.matmul_transpose(&bt),
+            ];
+            let portable = products_on(kernels::tile_portable, &a, &b, &b2, &bt);
+            for (j, what) in ["mm", "tmm", "mmt"].into_iter().enumerate() {
+                assert!(bits_eq(&built[j], &want[j]), "{what} {m}x{k}x{n}");
+                assert!(
+                    bits_eq(&portable[j], &want[j]),
+                    "portable {what} {m}x{k}x{n}"
+                );
+            }
         }
     }
 

@@ -56,11 +56,6 @@ proptest! {
 
         assert_bits_eq(&a.matmul(&b), &reference::matmul(&a, &b), "matmul")?;
         assert_bits_eq(
-            &a.matmul_sparse_aware(&b),
-            &reference::matmul(&a, &b),
-            "matmul_sparse_aware",
-        )?;
-        assert_bits_eq(
             &a.transpose_matmul(&b2),
             &reference::transpose_matmul(&a, &b2),
             "transpose_matmul",
@@ -95,15 +90,6 @@ proptest! {
         let mut out = ws.take(k, n);
         a.transpose_matmul_into(&b2, &mut out);
         assert_bits_eq(&out, &reference::transpose_matmul(&a, &b2), "transpose_matmul_into")?;
-        ws.recycle(out);
-
-        let mut out = ws.take(k, n);
-        a.transpose_matmul_sparse_aware_into(&b2, &mut out);
-        assert_bits_eq(
-            &out,
-            &reference::transpose_matmul(&a, &b2),
-            "transpose_matmul_sparse_aware_into",
-        )?;
         ws.recycle(out);
 
         let mut out = ws.take(m, n);
