@@ -9,6 +9,17 @@
 //! [`DiskStore`] + [`ValueCodec`] (see [`ResultCache::with_disk`])
 //! extends that reuse across *processes* sharing a cache directory.
 //!
+//! A disk hit is a *verified entry*: the probe checks its header, length
+//! and checksum (a corrupt entry is evicted and reported as a miss, in
+//! the run that finds it), but the payload stays encoded. Its value
+//! decodes on first read — when a dependent job runs, when
+//! [`crate::RunOutcome::value`] is called, or in [`ResultCache::lookup`]
+//! — once, however many readers ask. A warm re-run therefore pays for
+//! reading and checking its entries, not for rebuilding values nobody
+//! reads. A payload the codec cannot decode is evicted when that first
+//! read finds it: the reader sees no value, and the next run recomputes
+//! the job.
+//!
 //! The disk tier inherits its [`crate::StoreBackend`] from the attached
 //! [`DiskStore`]: every persist and disk probe goes through the store's
 //! backend, so a cache built on a [`DiskStore::open_with_backend`]
@@ -20,10 +31,10 @@
 
 use crate::codec::ValueCodec;
 use crate::graph::{JobKind, JobValue};
-use crate::store::DiskStore;
+use crate::store::{DiskStore, Entry};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Where a cache lookup was satisfied (recorded per job; provenance is
 /// excluded from deterministic reports so cold, warm and resumed runs
@@ -59,9 +70,11 @@ impl CacheSource {
 pub struct CacheStats {
     /// Lookups served by the memory tier.
     pub hits: usize,
-    /// Lookups served by the disk tier (decoded and promoted to memory).
+    /// Lookups served by a verified disk entry (promoted to memory; its
+    /// value decodes on first read).
     pub disk_hits: usize,
-    /// Lookups that found nothing in any tier.
+    /// Lookups that found nothing in any tier, plus [`ResultCache::lookup`]s
+    /// whose disk entry the codec could not decode.
     pub misses: usize,
     /// Values stored in the memory tier.
     pub insertions: usize,
@@ -69,10 +82,65 @@ pub struct CacheStats {
     pub persisted: usize,
 }
 
+/// A cached job value: decoded, or a verified disk entry whose value
+/// decodes on first read. Clones share one decode.
+#[derive(Clone)]
+pub(crate) enum Slot {
+    /// A value in hand (computed by this process, or already decoded).
+    Value(JobValue),
+    /// A disk hit, still encoded.
+    Disk(Arc<DiskValue>),
+}
+
+/// A disk hit: the verified entry, what decoding and evicting it needs,
+/// and the value once the first read has decoded it (`None` inside
+/// when the codec could not).
+pub(crate) struct DiskValue {
+    kind: JobKind,
+    fingerprint: u64,
+    entry: Entry,
+    store: Arc<DiskStore>,
+    codec: Arc<dyn ValueCodec>,
+    value: OnceLock<Option<JobValue>>,
+}
+
+impl Slot {
+    /// The value, decoding a disk entry on the first read (once, however
+    /// many threads ask). A payload the codec cannot decode is evicted
+    /// from the store, and the error names the entry.
+    pub(crate) fn read(&self) -> Result<JobValue, String> {
+        let disk = match self {
+            Slot::Value(value) => return Ok(value.clone()),
+            Slot::Disk(disk) => disk,
+        };
+        disk.value
+            .get_or_init(|| {
+                let value = disk.codec.decode(disk.kind, disk.entry.payload());
+                if value.is_none() {
+                    disk.store.evict_entry(disk.kind, disk.fingerprint);
+                }
+                value
+            })
+            .clone()
+            .ok_or_else(|| {
+                format!(
+                    "stored {} entry {:016x} could not be decoded and was evicted",
+                    disk.kind.tag(),
+                    disk.fingerprint
+                )
+            })
+    }
+
+    /// Whether a read found the payload undecodable (and evicted it).
+    fn unreadable(&self) -> bool {
+        matches!(self, Slot::Disk(disk) if matches!(disk.value.get(), Some(None)))
+    }
+}
+
 /// Thread-safe content-addressed cache of job results.
 #[derive(Default)]
 pub struct ResultCache {
-    map: Mutex<HashMap<(JobKind, u64), JobValue>>,
+    map: Mutex<HashMap<(JobKind, u64), Slot>>,
     disk: Option<(Arc<DiskStore>, Arc<dyn ValueCodec>)>,
     hits: AtomicUsize,
     disk_hits: AtomicUsize,
@@ -101,33 +169,59 @@ impl ResultCache {
         self.disk.as_ref().map(|(s, _)| s)
     }
 
-    /// Look up a result together with the tier that served it. A disk
-    /// hit is decoded and promoted into the memory tier.
-    pub fn lookup(&self, kind: JobKind, fingerprint: u64) -> Option<(JobValue, CacheSource)> {
-        if let Some(v) = self.map.lock().unwrap().get(&(kind, fingerprint)).cloned() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some((v, CacheSource::Memory));
+    /// Probe the tiers for a result: the memory tier, then the disk
+    /// tier, whose hit is a verified entry (header, length and checksum
+    /// checked; corrupt entries are evicted and missed) that is promoted
+    /// to memory still encoded. A slot a failed read left unreadable is
+    /// dropped from memory, so the job recomputes.
+    pub(crate) fn probe(&self, kind: JobKind, fingerprint: u64) -> Option<(Slot, CacheSource)> {
+        {
+            let mut map = self.map.lock().unwrap();
+            match map.get(&(kind, fingerprint)) {
+                Some(slot) if !slot.unreadable() => {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    return Some((slot.clone(), CacheSource::Memory));
+                }
+                Some(_) => {
+                    map.remove(&(kind, fingerprint));
+                }
+                None => {}
+            }
         }
         if let Some((store, codec)) = &self.disk {
-            if let Some(bytes) = store.load(kind, fingerprint) {
-                if let Some(value) = codec.decode(kind, &bytes) {
-                    self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    self.map
-                        .lock()
-                        .unwrap()
-                        .insert((kind, fingerprint), value.clone());
-                    return Some((value, CacheSource::Disk));
-                }
-                // Structurally intact entry the codec doesn't recognize
-                // (e.g. written by a different pipeline): evict it and
-                // recompute, so the subsequent put can persist a
-                // readable replacement (put skips the disk write when
-                // an entry file is already present).
-                store.evict_entry(kind, fingerprint);
+            if let Some(entry) = store.load_entry(kind, fingerprint) {
+                self.disk_hits.fetch_add(1, Ordering::Relaxed);
+                let slot = Slot::Disk(Arc::new(DiskValue {
+                    kind,
+                    fingerprint,
+                    entry,
+                    store: store.clone(),
+                    codec: codec.clone(),
+                    value: OnceLock::new(),
+                }));
+                self.map
+                    .lock()
+                    .unwrap()
+                    .insert((kind, fingerprint), slot.clone());
+                return Some((slot, CacheSource::Disk));
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         None
+    }
+
+    /// Look up a result together with the tier that served it: the
+    /// probe, then a read of the value, which decodes a disk hit. A
+    /// payload the codec cannot decode is evicted and counted as a miss.
+    pub fn lookup(&self, kind: JobKind, fingerprint: u64) -> Option<(JobValue, CacheSource)> {
+        let (slot, source) = self.probe(kind, fingerprint)?;
+        match slot.read() {
+            Ok(value) => Some((value, source)),
+            Err(_) => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+        }
     }
 
     /// Look up a result, counting a hit or miss.
@@ -147,7 +241,7 @@ impl ResultCache {
         self.map
             .lock()
             .unwrap()
-            .insert((kind, fingerprint), value.clone());
+            .insert((kind, fingerprint), Slot::Value(value.clone()));
         if let Some((store, codec)) = &self.disk {
             if store.contains(kind, fingerprint) {
                 store.mark_live(kind, fingerprint);
@@ -245,5 +339,30 @@ mod tests {
         // Unencodable values (not Strings) stay memory-only.
         cache.put(JobKind::Lock, 6, Arc::new(42u64));
         assert_eq!(store.stats().saves, 1);
+    }
+
+    #[test]
+    fn undecodable_disk_hit_is_evicted_on_first_read() {
+        let dir = crate::testing::TempDir::new("cache-undecodable");
+        let store = Arc::new(DiskStore::open(&dir).unwrap());
+        let cache = ResultCache::with_disk(store.clone(), Arc::new(StringCodec));
+        // An intact entry whose payload is not UTF-8: it passes the
+        // probe's checks and fails its first read.
+        store.save(JobKind::Parse, 9, &[0xff, 0xfe]).unwrap();
+        let (slot, source) = cache.probe(JobKind::Parse, 9).expect("verified entry");
+        assert_eq!(source, CacheSource::Disk);
+        assert!(store.contains(JobKind::Parse, 9), "a probe decodes nothing");
+        let err = slot.read().unwrap_err();
+        assert!(err.contains("parse entry 0000000000000009"), "{err}");
+        assert!(!store.contains(JobKind::Parse, 9), "the read evicts it");
+        // The memory tier drops the unreadable slot instead of serving it.
+        assert!(cache.lookup(JobKind::Parse, 9).is_none());
+        // A lookup decodes, so it finds a bad payload at once.
+        store.save(JobKind::Parse, 9, &[0xff]).unwrap();
+        assert!(cache.get(JobKind::Parse, 9).is_none());
+        assert!(!store.contains(JobKind::Parse, 9));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.disk_hits, stats.misses), (0, 2, 2));
+        assert_eq!(store.stats().evictions, 2);
     }
 }

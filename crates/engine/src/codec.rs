@@ -12,7 +12,8 @@
 //! [`ByteWriter`] / [`ByteReader`] are the little-endian primitives both
 //! the store's entry headers and downstream codecs are built on. Reads
 //! are all checked (`Option`), so a truncated or alien payload decodes
-//! to `None` instead of panicking — the cache treats that as a miss.
+//! to `None` instead of panicking — the cache then evicts the entry (see
+//! [`ValueCodec::decode`]).
 
 use crate::graph::{JobKind, JobValue};
 
@@ -30,8 +31,11 @@ pub trait ValueCodec: Send + Sync {
     fn encode(&self, kind: JobKind, value: &JobValue) -> Option<Vec<u8>>;
 
     /// Decode a payload previously produced by `encode` for the same
-    /// `kind`. `None` means the payload is unrecognized; the cache
-    /// treats the entry as a miss.
+    /// `kind`. The cache calls it on the first read of a disk hit's
+    /// value, not when it probes. `None` means the payload is
+    /// unrecognized: the cache evicts the entry, the read finds no
+    /// value (a dependent job fails, [`crate::ResultCache::lookup`]
+    /// misses), and the next run recomputes it.
     fn decode(&self, kind: JobKind, bytes: &[u8]) -> Option<JobValue>;
 }
 

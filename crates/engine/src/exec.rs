@@ -13,7 +13,7 @@
 //! flushed per event, so long campaigns are observable and a crashed
 //! run's progress is replayable.
 
-use crate::cache::{CacheSource, ResultCache};
+use crate::cache::{CacheSource, ResultCache, Slot};
 use crate::cancel::CancelToken;
 use crate::events::{Event, EventLog};
 use crate::graph::{JobCtx, JobGraph, JobId, JobKind, JobValue};
@@ -179,7 +179,7 @@ pub struct RunOutcome {
     /// timestamps, durations and thread ids are volatile. Render with
     /// [`gnnunlock_telemetry::chrome_trace_json`].
     pub spans: Vec<SpanRecord>,
-    values: Vec<Option<JobValue>>,
+    values: Vec<Option<Slot>>,
     /// The per-stage wall-clock budget in effect when the run executed
     /// (`GNNUNLOCK_STAGE_BUDGET_MS`), applied by [`RunOutcome::stage_summaries`].
     stage_budget_ms: Option<f64>,
@@ -245,15 +245,19 @@ impl RunOutcome {
             })
             .collect()
     }
-    /// The output of a succeeded job, downcast to its concrete type.
-    /// `None` if the job did not succeed; panics on a type mismatch
-    /// (a graph-construction bug).
+    /// The output of a succeeded job, downcast to its concrete type. A
+    /// job served from disk decodes here, on the first read of its
+    /// value (once, whoever reads it). `None` if the job did not
+    /// succeed, or if its stored payload could not be decoded — the
+    /// entry is then evicted and the next run recomputes it. Panics on
+    /// a type mismatch (a graph-construction bug).
     pub fn value<T: Send + Sync + 'static>(&self, id: JobId) -> Option<Arc<T>> {
-        self.values[id.index()].as_ref().map(|v| {
-            v.clone()
+        let value = self.values[id.index()].as_ref()?.read().ok()?;
+        Some(
+            value
                 .downcast::<T>()
-                .unwrap_or_else(|_| panic!("job {} has unexpected output type", id.index()))
-        })
+                .unwrap_or_else(|_| panic!("job {} has unexpected output type", id.index())),
+        )
     }
 
     /// Whether every job succeeded.
@@ -313,7 +317,7 @@ struct Sched<'a> {
     /// When each job entered the ready set (taken at claim time to
     /// observe queue wait; `None` once claimed or not yet ready).
     ready_at: Vec<Option<Instant>>,
-    values: Vec<Option<JobValue>>,
+    values: Vec<Option<Slot>>,
     records: Vec<Option<(JobStatus, CacheSource, Duration)>>,
     /// Spans drained from worker thread-local buffers at job boundaries.
     spans: Vec<SpanRecord>,
@@ -531,11 +535,12 @@ impl Executor {
 
             // Cache probe. The memory tier is a HashMap lookup, but the
             // disk tier does file I/O, so probe outside the lock: claim
-            // the job, release the scheduler, then look up.
+            // the job, release the scheduler, then look up. A disk hit
+            // stays encoded until a dependent or the caller reads it.
             if let Some(fp) = fingerprint {
                 drop(guard);
                 let probe_t0 = Instant::now();
-                let found = self.cache.lookup(kind, fp);
+                let found = self.cache.probe(kind, fp);
                 if let Some((_, source)) = &found {
                     let tag = kind.tag();
                     metrics::cache_hits(tag, source.tag()).inc();
@@ -562,7 +567,7 @@ impl Executor {
                 }
             }
 
-            let dep_values: Vec<JobValue> = dep_ids
+            let dep_slots: Vec<Slot> = dep_ids
                 .iter()
                 .map(|d| guard.values[d.index()].clone().expect("dep value missing"))
                 .collect();
@@ -573,15 +578,31 @@ impl Executor {
                 label: label.clone(),
             });
             let t0 = Instant::now();
-            let ctx = JobCtx {
-                deps: &dep_values,
-                cancel: &self.cfg.cancel,
-            };
-            // A body that panics must become a Failed job, not a dead
-            // worker: an unwinding worker would leave `pending` stuck
-            // above zero and deadlock its siblings on the condvar.
-            let output = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&ctx)))
-                .unwrap_or_else(|payload| Err(format!("job panicked: {}", panic_text(payload))));
+            // A body — or a codec decoding a dependency — that panics
+            // must become a Failed job, not a dead worker: an unwinding
+            // worker would leave `pending` stuck above zero and deadlock
+            // its siblings on the condvar.
+            let output = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                // Disk-hit dependencies decode here, outside the
+                // scheduler lock (a dataset takes milliseconds);
+                // dependents running in parallel share one decode. An
+                // undecodable one fails the job instead of running it.
+                let deps = dep_slots
+                    .iter()
+                    .zip(&dep_ids)
+                    .map(|(slot, d)| {
+                        slot.read().map_err(|e| {
+                            let dep = sched.lock().unwrap().nodes[d.index()].label.clone();
+                            format!("dependency '{dep}': {e}")
+                        })
+                    })
+                    .collect::<Result<Vec<JobValue>, String>>()?;
+                run(&JobCtx {
+                    deps: &deps,
+                    cancel: &self.cfg.cancel,
+                })
+            }))
+            .unwrap_or_else(|payload| Err(format!("job panicked: {}", panic_text(payload))));
             let elapsed = t0.elapsed();
             let ms = elapsed.as_secs_f64() * 1e3;
 
@@ -646,7 +667,7 @@ impl Executor {
             }
             match output {
                 Ok(value) => {
-                    guard.values[i] = Some(value);
+                    guard.values[i] = Some(Slot::Value(value));
                     Self::finish(
                         &mut guard,
                         i,

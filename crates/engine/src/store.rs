@@ -51,6 +51,7 @@ use crate::metrics;
 use crate::resilience::{ResilientBackend, RetryPolicy};
 use std::collections::HashSet;
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -110,6 +111,30 @@ pub struct GcStats {
     /// evict: the handle's live set for [`DiskStore::gc`], the entries
     /// under protected roots for [`gc_roots`]. Never evicted.
     pub live_protected: usize,
+}
+
+/// A verified entry as [`DiskStore::load`] read it: the entry file's
+/// bytes and the payload's range inside them, so a hit keeps the one
+/// buffer it read instead of copying the payload out.
+#[derive(Debug)]
+pub(crate) struct Entry {
+    bytes: Vec<u8>,
+    payload: Range<usize>,
+}
+
+impl Entry {
+    /// The verified payload.
+    pub(crate) fn payload(&self) -> &[u8] {
+        &self.bytes[self.payload.clone()]
+    }
+
+    /// The payload as an owned buffer: the entry buffer with its header
+    /// cut off, in place.
+    fn into_payload(mut self) -> Vec<u8> {
+        self.bytes.truncate(self.payload.end);
+        self.bytes.drain(..self.payload.start);
+        self.bytes
+    }
 }
 
 /// A content-addressed on-disk store of encoded job results.
@@ -311,17 +336,24 @@ impl DiskStore {
     }
 
     /// Evict the entry for `(kind, fp)` (counted in
-    /// [`StoreStats::evictions`]) — used when a structurally intact
-    /// entry turns out to be semantically unreadable (the codec
-    /// declines it), so the recompute's save can replace it.
+    /// [`StoreStats::evictions`]) — used when a verified entry turns
+    /// out to be semantically unreadable (the codec cannot decode it
+    /// when its value is first read), so the next run's recompute can
+    /// save a replacement.
     pub(crate) fn evict_entry(&self, kind: JobKind, fp: u64) {
-        let _ = self.evict(&self.entry_path(kind, fp));
+        self.evict(&self.entry_path(kind, fp));
     }
 
     /// Load the payload of `(kind, fp)`, verifying the entry header and
     /// checksum. Corrupt or truncated entries are evicted and reported
     /// as a miss.
     pub fn load(&self, kind: JobKind, fp: u64) -> Option<Vec<u8>> {
+        self.load_entry(kind, fp).map(Entry::into_payload)
+    }
+
+    /// [`DiskStore::load`] without copying the payload out of the
+    /// entry buffer it was read into.
+    pub(crate) fn load_entry(&self, kind: JobKind, fp: u64) -> Option<Entry> {
         let path = self.entry_path(kind, fp);
         let bytes = match self.backend.load(&path) {
             Ok(bytes) => bytes,
@@ -341,9 +373,12 @@ impl DiskStore {
                 metrics::store_event("transient_retries").inc();
                 return None;
             }
-            Err(_) => return self.evict(&path),
+            Err(_) => {
+                self.evict(&path);
+                return None;
+            }
         };
-        match Self::decode_entry(kind, fp, &bytes) {
+        match Self::verify_entry(kind, fp, &bytes) {
             Some(payload) => {
                 self.loads.fetch_add(1, Ordering::Relaxed);
                 metrics::store_event("loads").inc();
@@ -352,9 +387,12 @@ impl DiskStore {
                 // into this handle's live set so GC never evicts it.
                 let _ = self.backend.refresh(&path);
                 self.touched.lock().unwrap().insert(path);
-                Some(payload)
+                Some(Entry { bytes, payload })
             }
-            None => self.evict(&path),
+            None => {
+                self.evict(&path);
+                None
+            }
         }
     }
 
@@ -400,8 +438,9 @@ impl DiskStore {
         self.backend.publish(&path, &entry)
     }
 
-    /// Validate an entry file against its header; `None` means corrupt.
-    fn decode_entry(kind: JobKind, fp: u64, bytes: &[u8]) -> Option<Vec<u8>> {
+    /// Validate an entry file against its header: the payload's range
+    /// in `bytes`, or `None` when the entry is corrupt.
+    fn verify_entry(kind: JobKind, fp: u64, bytes: &[u8]) -> Option<Range<usize>> {
         let mut pos = 0usize;
         // checked_add: the length fields are corruption-controlled, and
         // an overflowing slice bound must read as "corrupt" (evict),
@@ -425,18 +464,18 @@ impl DiskStore {
         }
         let payload_len = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()) as usize;
         let checksum = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
+        let start = pos;
         let payload = take(&mut pos, payload_len)?;
         if pos != bytes.len() || fingerprint(payload) != checksum {
             return None;
         }
-        Some(payload.to_vec())
+        Some(start..pos)
     }
 
-    fn evict(&self, path: &Path) -> Option<Vec<u8>> {
+    fn evict(&self, path: &Path) {
         let _ = self.backend.remove(path);
         self.evictions.fetch_add(1, Ordering::Relaxed);
         metrics::store_event("corrupt_evictions").inc();
-        None
     }
 
     /// Number of entry files currently on disk (walks the tree; meant

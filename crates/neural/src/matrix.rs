@@ -96,9 +96,13 @@ pub struct Matrix {
     data: Vec<f32>,
 }
 
-/// Output-row count below which the products stay single-threaded (the
-/// per-thread work would not amortize a spawn).
-const PARALLEL_THRESHOLD: usize = 128;
+/// Multiply-adds (m·k·n) below which a product stays on one thread.
+/// On a 2-vCPU guest, with the other CPU idle, two threads won 62–77% of
+/// paired calls at ~6.5M (medians 0.75–0.97× the serial time) and 82–100%
+/// from 13M up (0.60–0.91×); at 0.9M they took 1.55–1.59×. Every training
+/// epoch of the benchmark workloads (at most 734 × 96 × 48 ≈ 3.4M) stays
+/// under it; a hidden-192 layer (708 × 384 × 192 ≈ 52M) threads.
+const PARALLEL_WORK: usize = 1 << 23;
 
 /// Threads a data-parallel kernel may use: the CPUs this process may
 /// run on, capped at 16. Read once per process and cached — asking the
@@ -508,7 +512,7 @@ pub(crate) fn packed_len(k: usize, n: usize) -> usize {
 /// `matmul_transpose` (packed `bᵀ`) and `transpose_matmul` (`aᵀ` and
 /// `b` read in place).
 mod kernels {
-    use super::{kernel_threads, MR, NR, PARALLEL_THRESHOLD};
+    use super::{kernel_threads, MR, NR, PARALLEL_WORK};
 
     /// The left operand as the tile reads it: element `(i, kk)` of the
     /// logical `m x k` matrix is `data[i * row + kk * step]`.
@@ -771,7 +775,7 @@ mod kernels {
             return;
         }
         let m = out.len() / n.max(1);
-        for_row_blocks(m, out, n, |r0, block| {
+        for_row_blocks(m, m * k * n, out, n, |r0, block| {
             let h = block.len() / n.max(1);
             for t0 in (0..h).step_by(MR) {
                 let own = (h - t0).min(MR);
@@ -790,17 +794,18 @@ mod kernels {
 
     /// Split `out` (`rows x cols`, flat) into contiguous row blocks with
     /// deterministic per-thread ownership and run `body(first_row,
-    /// block)` on each — single-threaded below [`PARALLEL_THRESHOLD`]
-    /// rows or when only one CPU is available. Because every output row
-    /// is produced entirely by one invocation, the split never changes
-    /// results, only wall-clock.
+    /// block)` on each — single-threaded when the product's `work`
+    /// (multiply-adds) is below [`PARALLEL_WORK`] or when only one CPU
+    /// is available. Because every output row is produced entirely by
+    /// one invocation, the split never changes results, only wall-clock.
     fn for_row_blocks(
         rows: usize,
+        work: usize,
         out: &mut [f32],
         cols: usize,
         body: impl Fn(usize, &mut [f32]) + Sync,
     ) {
-        let threads = if rows < PARALLEL_THRESHOLD {
+        let threads = if work < PARALLEL_WORK {
             1
         } else {
             kernel_threads()
@@ -1093,16 +1098,29 @@ mod tests {
 
     #[test]
     fn large_matmul_threads_match_serial() {
-        // Above PARALLEL_THRESHOLD rows to exercise the threaded path.
-        let a = Matrix::xavier(300, 40, 4);
-        let b = Matrix::xavier(40, 30, 5);
+        // Past PARALLEL_WORK to exercise the threaded path, with a row
+        // count that leaves the last block a partial tile.
+        let (m, k, n) = (523, 160, 112);
+        assert!(m * k * n >= PARALLEL_WORK);
+        let a = Matrix::xavier(m, k, 4);
+        let b = Matrix::xavier(k, n, 5);
         let c = a.matmul(&b);
         assert!(bits_eq(&c, &reference::matmul(&a, &b)));
-        for r in [0, 150, 299] {
-            for col in [0, 29] {
+        let at = Matrix::xavier(k, m, 6);
+        assert!(bits_eq(
+            &at.transpose_matmul(&b),
+            &reference::transpose_matmul(&at, &b)
+        ));
+        let bt = Matrix::xavier(n, k, 7);
+        assert!(bits_eq(
+            &a.matmul_transpose(&bt),
+            &reference::matmul_transpose(&a, &bt)
+        ));
+        for r in [0, 261, m - 1] {
+            for col in [0, n - 1] {
                 let mut acc = 0.0;
-                for k in 0..40 {
-                    acc += a.get(r, k) * b.get(k, col);
+                for kk in 0..k {
+                    acc += a.get(r, kk) * b.get(kk, col);
                 }
                 assert!((c.get(r, col) - acc).abs() < 1e-4);
             }

@@ -7,13 +7,15 @@
 
 use gnnunlock::engine::testing::{Echo, TempDir};
 use gnnunlock::engine::{
-    Campaign, CampaignRunner, EventLog, JobCtx, JobOutput, StageJob, ValueCodec, EVENTS_FILE,
+    CacheSource, Campaign, CampaignRun, CampaignRunner, DiskStore, EventLog, JobCtx, JobKind,
+    JobOutput, JobStatus, JobValue, StageJob, ValueCodec, EVENTS_FILE,
 };
 use gnnunlock::gnn::{SaintConfig, TrainConfig};
 use gnnunlock::prelude::*;
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------
 // Toy campaign: echo-style string stages with a string codec. Fast, and
@@ -248,6 +250,289 @@ fn job_panics_surface_in_the_event_log_with_their_id() {
 }
 
 // ---------------------------------------------------------------------
+// Disk hits stay encoded until something reads them.
+// ---------------------------------------------------------------------
+
+/// A codec that logs the kind and payload of every decode, then
+/// delegates to `inner`.
+struct CountingCodec {
+    inner: Arc<dyn ValueCodec>,
+    decodes: Mutex<Vec<(JobKind, Vec<u8>)>>,
+}
+
+impl ValueCodec for CountingCodec {
+    fn encode(&self, kind: JobKind, value: &JobValue) -> Option<Vec<u8>> {
+        self.inner.encode(kind, value)
+    }
+
+    fn decode(&self, kind: JobKind, bytes: &[u8]) -> Option<JobValue> {
+        self.decodes.lock().unwrap().push((kind, bytes.to_vec()));
+        self.inner.decode(kind, bytes)
+    }
+}
+
+impl CountingCodec {
+    /// The kinds decoded so far, in order.
+    fn kinds(&self) -> Vec<JobKind> {
+        self.decodes
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| *k)
+            .collect()
+    }
+
+    /// The jobs decoded so far, sorted: an `Echo` value starts with its
+    /// job's label.
+    fn echo_labels(&self) -> Vec<String> {
+        let mut labels: Vec<String> = self
+            .decodes
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|(_, bytes)| {
+                let text = String::from_utf8_lossy(bytes);
+                text.split("<-[").next().unwrap().to_string()
+            })
+            .collect();
+        labels.sort();
+        labels
+    }
+}
+
+/// A runner that delegates everything to `inner` but persists through
+/// `codec`.
+struct WithCodec<R> {
+    inner: R,
+    codec: Arc<dyn ValueCodec>,
+}
+
+impl<R: CampaignRunner> CampaignRunner for WithCodec<R> {
+    fn config_salt(&self) -> u64 {
+        self.inner.config_salt()
+    }
+
+    fn stage_salt(&self, kind: JobKind) -> u64 {
+        self.inner.stage_salt(kind)
+    }
+
+    fn codec(&self) -> Option<Arc<dyn ValueCodec>> {
+        Some(self.codec.clone())
+    }
+
+    fn run(&self, job: &StageJob, ctx: &JobCtx<'_>) -> JobOutput {
+        self.inner.run(job, ctx)
+    }
+}
+
+/// `inner`, persisting through a [`CountingCodec`] around its codec.
+fn with_counting_codec<R: CampaignRunner>(inner: R) -> (WithCodec<R>, Arc<CountingCodec>) {
+    let codec = Arc::new(CountingCodec {
+        inner: inner.codec().expect("a persisting runner"),
+        decodes: Mutex::new(Vec::new()),
+    });
+    let runner = WithCodec {
+        inner,
+        codec: codec.clone(),
+    };
+    (runner, codec)
+}
+
+fn remove_entries_of(dir: &std::path::Path, kind: JobKind) -> usize {
+    let bins = walk_bins(&dir.join("objects").join(kind.tag()));
+    for bin in &bins {
+        std::fs::remove_file(bin).unwrap();
+    }
+    bins.len()
+}
+
+#[test]
+fn warm_toy_campaign_decodes_only_the_aggregate_it_reads() {
+    let dir = TempDir::new("persistence-lazy-warm");
+    let campaign = toy_campaign();
+    let cold = campaign
+        .execute_persistent(&TOY, ExecConfig::with_workers(2), &dir)
+        .unwrap();
+    let reference = cold.report(ReportOptions::default()).to_json();
+
+    let (counting, codec) = with_counting_codec(TOY);
+    let warm = campaign
+        .execute_persistent(&counting, ExecConfig::with_workers(4), &dir)
+        .unwrap();
+    assert_eq!(warm.outcome.stats.disk_hits, warm.outcome.stats.total);
+    assert!(codec.kinds().is_empty(), "nothing read, nothing decoded");
+    assert_eq!(warm.report(ReportOptions::default()).to_json(), reference);
+    assert!(codec.kinds().is_empty(), "a report reads no values");
+
+    let aggregate = warm.aggregate::<String>("antisat").unwrap();
+    assert_eq!(aggregate, cold.aggregate::<String>("antisat").unwrap());
+    assert_eq!(codec.kinds(), vec![JobKind::Aggregate]);
+    // A second read is served by the one decode.
+    warm.aggregate::<String>("antisat").unwrap();
+    assert_eq!(codec.kinds(), vec![JobKind::Aggregate]);
+}
+
+#[test]
+fn resumed_toy_campaign_decodes_the_disk_hits_its_jobs_read_once() {
+    let dir = TempDir::new("persistence-lazy-resume");
+    let campaign = toy_campaign();
+    let cfg = ExecConfig::with_workers(1);
+    let killer = KillAfter {
+        remaining: AtomicUsize::new(5),
+        token: cfg.cancel.clone(),
+    };
+    campaign.execute_persistent(&killer, cfg, &dir).unwrap();
+
+    let (counting, codec) = with_counting_codec(TOY);
+    let (resumed, _) = campaign
+        .resume(&counting, ExecConfig::with_workers(2), &dir)
+        .unwrap();
+    assert!(resumed.outcome.all_succeeded());
+    assert_eq!(resumed.outcome.stats.disk_hits, 5);
+    let records = &resumed.outcome.records;
+    let read: BTreeSet<String> = records
+        .iter()
+        .filter(|r| r.cache == CacheSource::None)
+        .flat_map(|r| &r.deps)
+        .filter(|&&d| records[d].cache == CacheSource::Disk)
+        .map(|&d| records[d].label.clone())
+        .collect();
+    assert!(!read.is_empty(), "the resumed jobs read persisted inputs");
+    assert_eq!(
+        codec.echo_labels(),
+        read.into_iter().collect::<Vec<_>>(),
+        "each disk-hit dependency of an executed job decodes once; nothing else does"
+    );
+}
+
+#[test]
+fn parallel_dependents_share_one_decode() {
+    let dir = TempDir::new("persistence-lazy-shared");
+    let campaign = Campaign::builder("shared")
+        .scheme("antisat")
+        .benchmarks(["c1"])
+        .key_sizes([8])
+        .seeds([0, 1])
+        .build();
+    campaign
+        .execute_persistent(&TOY, ExecConfig::with_workers(1), &dir)
+        .unwrap();
+    // Both locks recompute and read the one parse entry they share.
+    assert_eq!(remove_entries_of(&dir, JobKind::Lock), 2);
+
+    let (counting, codec) = with_counting_codec(TOY);
+    let warm = campaign
+        .execute_persistent(&counting, ExecConfig::with_workers(4), &dir)
+        .unwrap();
+    assert!(warm.outcome.all_succeeded());
+    assert_eq!(warm.outcome.stats.executed, 2);
+    assert_eq!(codec.echo_labels(), vec!["parse/c1".to_string()]);
+}
+
+#[test]
+fn undecodable_payload_fails_its_readers_and_is_recomputed() {
+    let dir = TempDir::new("persistence-lazy-undecodable");
+    let campaign = toy_campaign();
+    let reference = campaign
+        .execute_persistent(&TOY, ExecConfig::with_workers(2), &dir)
+        .unwrap()
+        .report(ReportOptions::default())
+        .to_json();
+
+    // A payload that passes the header and checksum checks but is not
+    // UTF-8, where the locks will read `parse/c1`.
+    let parse = campaign
+        .plan()
+        .iter()
+        .position(|(job, _)| job.label() == "parse/c1")
+        .unwrap();
+    let fp = campaign.job_fingerprints(&TOY)[parse];
+    let store = DiskStore::open(&dir).unwrap();
+    store.save(JobKind::Parse, fp, &[0xff, 0xfe, 0xfd]).unwrap();
+    assert_eq!(remove_entries_of(&dir, JobKind::Lock), 4);
+
+    let broken = campaign
+        .execute_persistent(&TOY, ExecConfig::with_workers(2), &dir)
+        .unwrap();
+    let entry = format!("parse entry {fp:016x}");
+    let failed: Vec<&str> = broken
+        .outcome
+        .records
+        .iter()
+        .filter_map(|r| match &r.status {
+            JobStatus::Failed(detail) => {
+                assert!(detail.contains(&entry), "{}: {detail}", r.label);
+                Some(r.label.as_str())
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        failed,
+        ["lock/antisat/c1/k8/s0", "lock/antisat/c1/k8/s1"],
+        "exactly the readers of the bad entry fail"
+    );
+    assert!(
+        !store.contains(JobKind::Parse, fp),
+        "the undecodable entry is evicted"
+    );
+
+    let again = campaign
+        .execute_persistent(&TOY, ExecConfig::with_workers(2), &dir)
+        .unwrap();
+    assert!(again.outcome.all_succeeded());
+    assert_eq!(again.report(ReportOptions::default()).to_json(), reference);
+}
+
+/// A codec that panics on every decode.
+struct PanicOnDecode;
+
+impl ValueCodec for PanicOnDecode {
+    fn encode(&self, kind: JobKind, value: &JobValue) -> Option<Vec<u8>> {
+        TOY.codec().unwrap().encode(kind, value)
+    }
+
+    fn decode(&self, _kind: JobKind, _bytes: &[u8]) -> Option<JobValue> {
+        panic!("decoder bug");
+    }
+}
+
+#[test]
+fn codec_panic_on_first_read_fails_only_its_readers() {
+    let dir = TempDir::new("persistence-lazy-panic");
+    let campaign = toy_campaign();
+    let reference = campaign
+        .execute_persistent(&TOY, ExecConfig::with_workers(2), &dir)
+        .unwrap()
+        .report(ReportOptions::default())
+        .to_json();
+    assert_eq!(remove_entries_of(&dir, JobKind::Lock), 4);
+
+    // The locks recompute and read their parse entries: the decode
+    // panics inside the job, which fails instead of killing its worker.
+    let panicking = WithCodec {
+        inner: TOY,
+        codec: Arc::new(PanicOnDecode),
+    };
+    let broken = campaign
+        .execute_persistent(&panicking, ExecConfig::with_workers(2), &dir)
+        .unwrap();
+    let panicked = broken
+        .outcome
+        .records
+        .iter()
+        .filter(|r| matches!(&r.status, JobStatus::Failed(d) if d.contains("decoder bug")))
+        .count();
+    assert_eq!(panicked, 4);
+
+    let again = campaign
+        .execute_persistent(&TOY, ExecConfig::with_workers(2), &dir)
+        .unwrap();
+    assert!(again.outcome.all_succeeded());
+    assert_eq!(again.report(ReportOptions::default()).to_json(), reference);
+}
+
+// ---------------------------------------------------------------------
 // The real pipeline: a small Anti-SAT campaign, persisted and resumed.
 // ---------------------------------------------------------------------
 
@@ -312,6 +597,43 @@ fn warm_real_campaign_is_mostly_disk_hits() {
             summary.kind
         );
     }
+}
+
+/// A fully warm real campaign decodes nothing while it runs, and only
+/// the aggregate when its outcomes are read. This is also the CI
+/// bench-smoke assertion that warm runs stay encoded.
+#[test]
+fn warm_real_campaign_decodes_only_what_it_reads() {
+    let dir = TempDir::new("persistence-lazy-real");
+    let (ds, attack) = real_cfgs();
+    let campaign = gnnunlock::core::campaign_for("lazy", &ds, &attack);
+    let runner = || gnnunlock::core::AttackCampaignRunner::new(&ds, &attack);
+    let cold = campaign
+        .execute_persistent(&runner(), ExecConfig::with_workers(2), &dir)
+        .unwrap();
+    assert!(cold.outcome.all_succeeded());
+
+    let (counting, codec) = with_counting_codec(runner());
+    let warm: CampaignRun = campaign
+        .execute_persistent(&counting, ExecConfig::with_workers(2), &dir)
+        .unwrap();
+    assert_eq!(warm.outcome.stats.disk_hits, warm.outcome.stats.total);
+    assert_eq!(
+        warm.report(ReportOptions::default()).to_json(),
+        cold.report(ReportOptions::default()).to_json()
+    );
+    assert!(codec.kinds().is_empty(), "{:?}", codec.kinds());
+
+    let scheme = gnnunlock::core::campaign_scheme_tag(&ds);
+    let outcomes = warm.aggregate::<Vec<AttackOutcome>>(&scheme).unwrap();
+    let reference = cold.aggregate::<Vec<AttackOutcome>>(&scheme).unwrap();
+    assert_eq!(outcomes.len(), reference.len());
+    for (a, b) in outcomes.iter().zip(reference.iter()) {
+        assert_eq!(a.benchmark, b.benchmark);
+        assert_eq!(a.avg_post_accuracy(), b.avg_post_accuracy());
+        assert_eq!(a.removal_success_rate(), b.removal_success_rate());
+    }
+    assert_eq!(codec.kinds(), vec![JobKind::Aggregate]);
 }
 
 /// Kill a real campaign mid-training (after two of the four per-target
