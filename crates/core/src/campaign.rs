@@ -512,12 +512,7 @@ pub fn run_campaign(
 ) -> CampaignResult {
     let campaign = campaign_for(name, dataset, attack);
     let runner = AttackCampaignRunner::new(dataset, attack);
-    let run = campaign.execute(&runner, executor);
-    let outcomes = run
-        .aggregate::<Vec<AttackOutcome>>(&campaign_scheme_tag(dataset))
-        .map(|a| a.as_ref().clone())
-        .unwrap_or_default();
-    CampaignResult { outcomes, run }
+    collect_outcomes(dataset, campaign.execute(&runner, executor))
 }
 
 /// [`run_campaign`] on a fresh executor with `workers` threads.
@@ -535,12 +530,19 @@ pub fn run_campaign_with_workers(
     )
 }
 
-fn collect_outcomes(dataset: &DatasetConfig, run: CampaignRun) -> CampaignResult {
-    let outcomes = run
-        .aggregate::<Vec<AttackOutcome>>(&campaign_scheme_tag(dataset))
+/// The leave-one-out outcomes `run`'s aggregate holds (none when the
+/// aggregate failed).
+pub(crate) fn aggregate_outcomes(dataset: &DatasetConfig, run: &CampaignRun) -> Vec<AttackOutcome> {
+    run.aggregate::<Vec<AttackOutcome>>(&campaign_scheme_tag(dataset))
         .map(|a| a.as_ref().clone())
-        .unwrap_or_default();
-    CampaignResult { outcomes, run }
+        .unwrap_or_default()
+}
+
+fn collect_outcomes(dataset: &DatasetConfig, run: CampaignRun) -> CampaignResult {
+    CampaignResult {
+        outcomes: aggregate_outcomes(dataset, &run),
+        run,
+    }
 }
 
 /// [`run_campaign`] with persistence rooted at `dir`: trained models
@@ -631,12 +633,10 @@ pub fn run_campaign_sharded(
     let campaign = campaign_for(name, dataset, attack);
     let runner = AttackCampaignRunner::new(dataset, attack);
     let sharded = campaign.execute_sharded(&runner, cfg, dir, shard)?;
-    let outcomes = sharded
-        .run
-        .aggregate::<Vec<AttackOutcome>>(&campaign_scheme_tag(dataset))
-        .map(|a| a.as_ref().clone())
-        .unwrap_or_default();
-    Ok(ShardedCampaignResult { outcomes, sharded })
+    Ok(ShardedCampaignResult {
+        outcomes: aggregate_outcomes(dataset, &sharded.run),
+        sharded,
+    })
 }
 
 /// The shared cache directory named by `GNNUNLOCK_CACHE_DIR`, if set

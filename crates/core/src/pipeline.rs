@@ -269,10 +269,7 @@ pub fn attack_targets_on(
     let campaign = crate::campaign_for_targets("attack-targets", &dataset.config, cfg, targets);
     let runner = crate::AttackCampaignRunner::with_targets(&dataset.config, cfg, targets);
     let run = campaign.execute(&runner, executor);
-    let outcomes = run
-        .aggregate::<Vec<AttackOutcome>>(&crate::campaign_scheme_tag(&dataset.config))
-        .map(|a| a.as_ref().clone())
-        .unwrap_or_default();
+    let outcomes = crate::campaign::aggregate_outcomes(&dataset.config, &run);
     // Results in `targets` order, as documented.
     targets
         .iter()

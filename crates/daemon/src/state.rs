@@ -155,8 +155,10 @@ pub struct SubmitReceipt {
     pub id: String,
     /// Status at submission time.
     pub status: CampaignStatus,
-    /// Whether an identical earlier submission answered this one (the
-    /// registry, or a canonical report from a previous daemon life).
+    /// Whether an identical earlier submission answered this one: a
+    /// registered campaign that is queued, running or done, or a
+    /// canonical report from a previous daemon life. A failed or
+    /// cancelled campaign never answers; its resubmission re-queues.
     pub deduped: bool,
 }
 
@@ -236,6 +238,12 @@ impl DaemonCore {
     /// on-disk canonical report, enforce the tenant's concurrent-
     /// campaign quota, and queue the campaign for execution.
     ///
+    /// A registered campaign that is queued, running or done answers
+    /// the submission (deduped). A failed or cancelled one does not: the
+    /// submission re-queues it under the tenant quota, replacing the
+    /// terminal entry, exactly as a failed or cancelled attempt from a
+    /// previous daemon life re-queues.
+    ///
     /// # Errors
     ///
     /// Rejects (without queuing) when the daemon is draining or the
@@ -247,7 +255,11 @@ impl DaemonCore {
             return Err("daemon is shutting down; submission refused".to_string());
         }
         metrics::submissions().inc();
-        if let Some(entry) = st.campaigns.get_mut(&id) {
+        let answer = st
+            .campaigns
+            .get_mut(&id)
+            .filter(|e| !matches!(e.status, CampaignStatus::Failed | CampaignStatus::Cancelled));
+        if let Some(entry) = answer {
             entry.dedup_hits += 1;
             metrics::dedup_hits().inc();
             return Ok(SubmitReceipt {
@@ -260,8 +272,9 @@ impl DaemonCore {
         // campaign: a canonical report on disk answers it without
         // executing anything — but only a *successful* one (the status
         // marker, or legacy directories with a report and no marker).
-        // Failed or cancelled prior attempts fall through and re-queue;
-        // their cached store entries make the retry cheap.
+        // Failed or cancelled attempts, from this life or an earlier
+        // one, fall through and re-queue; their cached store entries
+        // make the retry cheap.
         if disk_terminal_status(&self.cfg.campaign_dir(&id)) == Some(CampaignStatus::Done) {
             st.campaigns.insert(
                 id.clone(),
@@ -297,6 +310,9 @@ impl DaemonCore {
                 submission.tenant, self.cfg.tenant_max_active
             ));
         }
+        // A re-run replaces its terminal entry, which must leave the
+        // eviction order too: its stale position would evict the re-run.
+        st.terminal_order.retain(|t| *t != id);
         st.campaigns.insert(
             id.clone(),
             Entry {
@@ -616,9 +632,8 @@ impl DaemonCore {
 mod tests {
     use super::*;
     use gnnunlock_core::Submission;
-    use gnnunlock_engine::testing::{
-        Fault, FaultOp, FaultRule, Faulty, ObjectStoreBackend, TempDir,
-    };
+    use gnnunlock_engine::testing::{Fault, FaultOp, FaultRule, Faulty, TempDir};
+    use gnnunlock_engine::LocalDirBackend;
     use std::str::FromStr as _;
 
     fn sub(tenant: &str, name: &str) -> Submission {
@@ -742,6 +757,38 @@ mod tests {
         assert!(!again.deduped, "evicted+reportless campaigns re-queue");
     }
 
+    /// A failed or cancelled campaign re-runs when it is submitted again
+    /// in the same daemon life, as one from a previous life does: the
+    /// resubmission queues once, replaces the terminal entry, and its
+    /// earlier terminal position can no longer evict it.
+    #[test]
+    fn cancelled_campaign_requeues_on_resubmit() {
+        let root = TempDir::new("daemon-state-requeue");
+        let core = DaemonCore::new(
+            DaemonConfig::new(root.to_path_buf())
+                .with_terminal_retained(1)
+                .with_tenant_max_active(8),
+        );
+        let a = core.submit(sub("acme", "a")).unwrap().id;
+        core.cancel(&a).unwrap();
+        let again = core.submit(sub("acme", "a")).unwrap();
+        assert_eq!(again.status, CampaignStatus::Queued);
+        assert!(!again.deduped, "a cancelled campaign is not an answer");
+        let queued = |id: &str| {
+            let st = core.state.lock().unwrap();
+            st.queue.iter().filter(|q| *q == id).count()
+        };
+        assert_eq!(queued(&a), 1, "queued exactly once");
+        // Another campaign turning terminal fills the cap of 1: the live
+        // re-run must not be evicted by its own earlier position.
+        let b = core.submit(sub("acme", "b")).unwrap().id;
+        core.cancel(&b).unwrap();
+        assert_eq!(core.status_of(&a), Some(CampaignStatus::Queued));
+        assert_eq!(queued(&a), 1);
+        // A queued campaign still dedups.
+        assert!(core.submit(sub("acme", "a")).unwrap().deduped);
+    }
+
     /// Tenant budget accounting covers active campaigns' bytes: they
     /// are protected from eviction but still count, so terminal entries
     /// are swept to make room.
@@ -782,10 +829,10 @@ mod tests {
             .is_file());
     }
 
-    /// The budget sweep runs against the *configured* store backend:
-    /// with the in-memory object map installed (behind the fault
-    /// decorator, for `age`), eviction happens in memory and nothing
-    /// touches the real filesystem. In-flight
+    /// The budget sweep runs against the *configured* store backend: the
+    /// stale orphan is back-dated only inside the fault decorator, so the
+    /// sweep collects it only if it lists through that backend, and the
+    /// decorator's journal records the eviction's removal. In-flight
     /// protocol files (`.tmp-*`, `.lease`) are never billed to the
     /// tenant's budget, and stale orphaned ones are collected by the
     /// same sweep.
@@ -795,7 +842,7 @@ mod tests {
         use std::time::Duration;
 
         let root = TempDir::new("daemon-state-budget-backend");
-        let backend = Arc::new(Faulty::new(ObjectStoreBackend::new()));
+        let backend = Arc::new(Faulty::new(LocalDirBackend::new()));
         let core = DaemonCore::new(
             DaemonConfig::new(root.to_path_buf())
                 .with_tenant_budget(1024)
@@ -828,16 +875,17 @@ mod tests {
                 b"gnnunlock-lease owner=w pid=1 gen=0\n",
             )
             .unwrap();
-        // A *stale* orphaned temp is collected by the sweep itself.
+        // A *stale* orphaned temp is collected by the sweep itself. Its
+        // file on disk is fresh: only the decorator reports it old.
         let stale = obj(&done, ".tmp-7-7");
         backend.publish(&stale, b"orphan").unwrap();
-        backend.age(&stale, Duration::from_secs(2 * 3600));
+        assert!(backend.age(&stale, Duration::from_secs(2 * 3600)));
 
         core.enforce_tenant_budget("acme");
         assert!(backend.contains(&obj(&active, "live.bin")), "protected");
         assert!(
             !backend.contains(&obj(&done, "old.bin")),
-            "terminal entry evicted, in memory"
+            "terminal entry evicted"
         );
         assert!(
             backend.contains(&obj(&done, ".tmp-42-0")),
@@ -845,8 +893,14 @@ mod tests {
         );
         assert!(backend.contains(&obj(&done, "x.lease")), "fresh lease kept");
         assert!(!backend.contains(&stale), "stale orphan swept");
-        // Nothing leaked onto the real filesystem.
-        assert!(!core.campaign_dir(&done).join("tenants").exists());
+        // The eviction went through the configured backend.
+        assert!(
+            backend
+                .journal()
+                .iter()
+                .any(|e| e.op == FaultOp::Remove && e.ok && e.path == obj(&done, "old.bin")),
+            "the sweep must remove old.bin through the configured backend"
+        );
     }
 
     /// A store outage mid-campaign fails the campaign *cleanly*: the
@@ -862,7 +916,7 @@ mod tests {
         use gnnunlock_engine::StoreBackend;
 
         let root = TempDir::new("daemon-state-store-outage");
-        let backend = Arc::new(Faulty::new(ObjectStoreBackend::new()));
+        let backend = Arc::new(Faulty::new(LocalDirBackend::new()));
         // The store answers briefly, then disappears for good: every
         // gated operation after the first few times out, forever.
         backend.inject(FaultRule::on(FaultOp::Load, "", Fault::Unavailable(usize::MAX)).after(8));

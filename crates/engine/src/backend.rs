@@ -21,25 +21,20 @@
 //! One substrate ships: [`LocalDirBackend`], the original
 //! `DiskStore`/`LeaseManager` filesystem code moved behind the trait,
 //! byte-for-byte compatible with stores written before the trait
-//! existed. The test support module holds a second one,
-//! [`crate::testing::ObjectStoreBackend`], which discharges the same
-//! obligations over an in-memory blob map with no renames and no hard
-//! links: publish is a last-writer-wins put, claim is `put_if_absent`,
-//! and entomb is an ETag-conditional swap (copy to the tomb key, then
-//! delete-if-match on the observed ETag — exactly one challenger's
-//! conditional delete can win).
+//! existed.
 //!
-//! Fault injection is not a backend but a decorator over either one:
+//! Fault injection is not a backend but a decorator:
 //! [`crate::testing::Faulty`] applies a deterministic, seeded fault
 //! schedule (crashed writers, torn reads/writes, NFS-style delayed
 //! visibility, transient and service-shaped errors) at the trait
 //! boundary, which turns the crash/takeover test matrix from
-//! timing-dependent SIGKILL choreography into fast exhaustive tests —
-//! on real directories as well as on the blob map.
+//! timing-dependent SIGKILL choreography into fast exhaustive tests on
+//! real directories.
 //!
 //! Backend selection: explicit (`ShardConfig::with_backend`,
-//! `DaemonConfig::with_store_backend`, `DiskStore::open_with_backend`)
-//! or, by default, a [`LocalDirBackend`]. Whatever the selection,
+//! `DaemonConfig::with_store_backend`, `DiskStore::open_with_backend`;
+//! perfbench's tracing wrapper comes in this way) or, by default, a
+//! [`LocalDirBackend`]. Whatever the selection,
 //! [`crate::DiskStore`] wraps the backend in the
 //! [`crate::resilience`] layer — deterministic retries, a per-backend
 //! circuit breaker, and a publish spill queue.
@@ -67,11 +62,10 @@ pub struct FileMeta {
 /// either honors them or is a bug.
 ///
 /// All paths are absolute-or-relative paths *as the engine computes
-/// them*; a backend is free to treat them as opaque keys (the object
-/// backend does) as long as prefix/parent relationships still hold for
-/// [`StoreBackend::list`].
+/// them*; a backend is free to treat them as opaque keys as long as
+/// prefix/parent relationships still hold for [`StoreBackend::list`].
 pub trait StoreBackend: Send + Sync + std::fmt::Debug {
-    /// Short stable name for diagnostics (`"local"`, `"object"`).
+    /// Short stable name for diagnostics (`"local"`).
     fn name(&self) -> &'static str;
 
     /// Ensure `dir` exists (no-op where directories aren't real).
@@ -290,11 +284,12 @@ impl StoreBackend for LocalDirBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::{Faulty, ObjectStoreBackend, TempDir};
+    use crate::testing::{Faulty, TempDir};
     use std::sync::Arc;
 
-    /// Both substrates, plus the rule-free fault decorator over a real
-    /// directory, each under its own root.
+    /// The shipped backend, plus the rule-free fault decorator over it,
+    /// each under its own root. The publish, claim and entomb
+    /// obligations are raced in `tests/backend_matrix.rs`.
     fn backends(tag: &str) -> Vec<(Arc<dyn StoreBackend>, TempDir)> {
         vec![
             (
@@ -302,94 +297,10 @@ mod tests {
                 TempDir::new(&format!("backend-{tag}")),
             ),
             (
-                Arc::new(ObjectStoreBackend::new()),
-                TempDir::new(&format!("backend-{tag}")),
-            ),
-            (
                 Arc::new(Faulty::new(LocalDirBackend::new())),
                 TempDir::new(&format!("backend-{tag}")),
             ),
         ]
-    }
-
-    #[test]
-    fn publish_is_atomic_last_writer_wins() {
-        for (backend, root) in backends("publish") {
-            let path = root.join("objects/a/entry.bin");
-            backend.publish(&path, b"first").unwrap();
-            assert_eq!(backend.load(&path).unwrap(), b"first");
-            backend.publish(&path, b"second, longer").unwrap();
-            assert_eq!(backend.load(&path).unwrap(), b"second, longer");
-            assert!(backend.contains(&path));
-            // No staging debris after successful publishes.
-            let leftovers: Vec<_> = backend
-                .list(path.parent().unwrap(), false)
-                .unwrap()
-                .into_iter()
-                .filter(|m| m.path != path)
-                .collect();
-            assert!(leftovers.is_empty(), "{}: {leftovers:?}", backend.name());
-        }
-    }
-
-    #[test]
-    fn claim_has_exactly_one_winner_under_contention() {
-        for (backend, root) in backends("claim") {
-            let path = root.join("objects/a/entry.lease");
-            let backend = &backend;
-            let winners: usize = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..8)
-                    .map(|i| {
-                        let path = path.clone();
-                        s.spawn(move || {
-                            match backend.claim(&path, format!("owner={i}\n").as_bytes()) {
-                                Ok(()) => 1usize,
-                                Err(e) => {
-                                    assert_eq!(
-                                        e.kind(),
-                                        io::ErrorKind::AlreadyExists,
-                                        "loser must see AlreadyExists, got {e:?}"
-                                    );
-                                    0
-                                }
-                            }
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).sum()
-            });
-            assert_eq!(winners, 1, "{}: exactly one claimant wins", backend.name());
-            // The winner's content is complete (never torn).
-            let content = backend.load(&path).unwrap();
-            assert!(content.starts_with(b"owner=") && content.ends_with(b"\n"));
-        }
-    }
-
-    #[test]
-    fn entomb_has_exactly_one_winner_and_preserves_content() {
-        for (backend, root) in backends("entomb") {
-            let path = root.join("objects/a/entry.lease");
-            backend.claim(&path, b"victim content\n").unwrap();
-            let backend = &backend;
-            let winners: usize = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..6)
-                    .map(|i| {
-                        let path = path.clone();
-                        let tomb = path.with_file_name(format!("entry.lease.tomb-{i}"));
-                        s.spawn(move || match backend.entomb(&path, &tomb) {
-                            Ok(()) => {
-                                assert_eq!(backend.load(&tomb).unwrap(), b"victim content\n");
-                                1usize
-                            }
-                            Err(_) => 0,
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).sum()
-            });
-            assert_eq!(winners, 1, "{}: exactly one entomber wins", backend.name());
-            assert!(!backend.contains(&path), "source gone after entomb");
-        }
     }
 
     #[test]

@@ -578,9 +578,10 @@ impl Campaign {
     }
 
     /// Enforce the `GNNUNLOCK_CACHE_BUDGET_BYTES` size budget after a
-    /// persistent run: evict least-recently-used store entries down to
-    /// the budget, never touching entries this run produced or consumed.
-    fn gc_store(executor: &Executor) {
+    /// persistent or sharded run: evict least-recently-used store
+    /// entries down to the budget, never touching entries this run
+    /// produced or consumed.
+    pub(crate) fn gc_store(executor: &Executor) {
         if let Some(store) = executor.cache().store() {
             store.gc_from_env();
         }

@@ -281,7 +281,7 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 /// any) has been published to the cache: `(kind, fingerprint,
 /// succeeded)`. The sharded coordinator uses this to release a job's
 /// lease only *after* the entry is visible to peer shards.
-pub type AfterJobHook = dyn Fn(JobKind, u64, bool) + Send + Sync;
+pub(crate) type AfterJobHook = dyn Fn(JobKind, u64, bool) + Send + Sync;
 
 /// Scheduling hint consulted when a worker picks its next ready job:
 /// `(kind, fingerprint)` → `true` to *defer* the job (pick it only when
@@ -291,7 +291,7 @@ pub type AfterJobHook = dyn Fn(JobKind, u64, bool) + Send + Sync;
 /// pick-order hint: results and records are indexed by job id, so
 /// deferral can never change an outcome, only wall-clock. Called with
 /// the scheduler briefly locked — keep it cheap (a stat, not a scan).
-pub type ReadyHint = dyn Fn(JobKind, Option<u64>) -> bool + Send + Sync;
+pub(crate) type ReadyHint = dyn Fn(JobKind, Option<u64>) -> bool + Send + Sync;
 
 /// The parallel job-graph executor.
 ///
@@ -353,7 +353,7 @@ impl Executor {
     /// its successful result has been published to the cache (and the
     /// disk tier, when attached). Runs for failed bodies too — callers
     /// holding per-job resources (leases) must release them either way.
-    pub fn with_after_job(mut self, hook: Arc<AfterJobHook>) -> Self {
+    pub(crate) fn with_after_job(mut self, hook: Arc<AfterJobHook>) -> Self {
         self.after_job = Some(hook);
         self
     }
@@ -361,7 +361,7 @@ impl Executor {
     /// Consult `hint` — `(kind, fingerprint)` → `true` to defer — when
     /// picking the next ready job: deferred jobs run only when every
     /// ready job is deferred.
-    pub fn with_ready_hint(mut self, hint: Arc<ReadyHint>) -> Self {
+    pub(crate) fn with_ready_hint(mut self, hint: Arc<ReadyHint>) -> Self {
         self.ready_hint = Some(hint);
         self
     }

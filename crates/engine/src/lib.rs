@@ -39,8 +39,8 @@
 //! - [`run_ordered`]: order-preserving batch fan-out used by dataset
 //!   generation;
 //! - [`testing`]: test support only — the [`testing::Faulty`] fault
-//!   injector that decorates any [`StoreBackend`], the in-memory
-//!   [`testing::ObjectStoreBackend`], and unique temp dirs.
+//!   injector that decorates any [`StoreBackend`], unique temp dirs,
+//!   and the toy [`testing::Echo`] campaign runner.
 //!
 //! # Examples
 //!
@@ -73,7 +73,6 @@ mod graph;
 mod json;
 mod lease;
 mod metrics;
-mod object;
 mod pool;
 mod report;
 pub mod resilience;
@@ -92,9 +91,7 @@ pub use env::{
     STAGE_BUDGET_ENV, TELEMETRY_ENV, TENANT_ENV, TRACE_OUT_ENV,
 };
 pub use events::{Event, EventLog, LogTail, Replay, EVENTS_ENV, EVENTS_FILE};
-pub use exec::{
-    AfterJobHook, ExecConfig, Executor, JobRecord, JobStatus, RunOutcome, RunStats, StageSummary,
-};
+pub use exec::{ExecConfig, Executor, JobRecord, JobStatus, RunOutcome, RunStats, StageSummary};
 pub use graph::{
     fingerprint, fingerprint_fields, JobCtx, JobGraph, JobId, JobKind, JobOutput, JobValue,
 };

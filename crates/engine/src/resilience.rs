@@ -3,8 +3,8 @@
 //!
 //! [`crate::DiskStore::open_with_backend`] wraps whatever backend it is
 //! handed in a [`ResilientBackend`], so the policy below applies
-//! uniformly to the `local` and `object` substrates (and to the fault
-//! decorator over either):
+//! uniformly to [`crate::LocalDirBackend`], to the fault decorator over
+//! it, and to any other implementation of the trait:
 //!
 //! - **[`RetryPolicy`]** — transient failures ([`io::ErrorKind::WouldBlock`],
 //!   `Interrupted`, `TimedOut`) retry with exponential backoff and
@@ -416,7 +416,8 @@ impl StoreBackend for ResilientBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::{on_each_substrate, Fault, FaultOp, FaultRule, Faulty};
+    use crate::testing::{Fault, FaultOp, FaultRule, Faulty, TempDir};
+    use crate::LocalDirBackend;
 
     fn policy() -> RetryPolicy {
         RetryPolicy::default()
@@ -442,59 +443,56 @@ mod tests {
 
     #[test]
     fn transient_errors_retry_timing_free_until_success() {
-        fn check<B: StoreBackend>(root: &Path, b: Arc<Faulty<B>>) {
-            b.inject(FaultRule::on(FaultOp::Load, ".bin", Fault::Transient));
-            b.inject(FaultRule::on(FaultOp::Load, ".bin", Fault::Latency(5)).after(1));
-            let path = root.join("x.bin");
-            b.publish(&path, b"payload").unwrap();
-            let got = policy()
-                .run(&*b, "load", || b.load(&path))
-                .expect("two transients inside a 4-attempt budget");
-            assert_eq!(got, b"payload");
-            // Two pauses were charged to the virtual clock, not slept.
-            assert!(b.virtual_waited() >= Duration::from_millis(5));
-        }
-        on_each_substrate("retry-transient", check, check);
+        let root = TempDir::new("retry-transient");
+        let b = Arc::new(Faulty::new(LocalDirBackend::new()));
+        b.inject(FaultRule::on(FaultOp::Load, ".bin", Fault::Transient));
+        b.inject(FaultRule::on(FaultOp::Load, ".bin", Fault::Latency(5)).after(1));
+        let path = root.join("x.bin");
+        b.publish(&path, b"payload").unwrap();
+        let got = policy()
+            .run(&*b, "load", || b.load(&path))
+            .expect("two transients inside a 4-attempt budget");
+        assert_eq!(got, b"payload");
+        // Two pauses were charged to the virtual clock, not slept.
+        assert!(b.virtual_waited() >= Duration::from_millis(5));
     }
 
     #[test]
     fn verdict_errors_are_never_retried() {
-        fn check<B: StoreBackend>(root: &Path, b: Arc<Faulty<B>>) {
-            let path = root.join("x.lease");
-            b.claim(&path, b"mine").unwrap();
-            let mut calls = 0;
-            let err = policy()
-                .run(&*b, "claim", || {
-                    calls += 1;
-                    b.claim(&path, b"theirs")
-                })
-                .unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::AlreadyExists);
-            assert_eq!(calls, 1, "a verdict is not a transient failure");
-        }
-        on_each_substrate("retry-verdict", check, check);
+        let root = TempDir::new("retry-verdict");
+        let b = Arc::new(Faulty::new(LocalDirBackend::new()));
+        let path = root.join("x.lease");
+        b.claim(&path, b"mine").unwrap();
+        let mut calls = 0;
+        let err = policy()
+            .run(&*b, "claim", || {
+                calls += 1;
+                b.claim(&path, b"theirs")
+            })
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::AlreadyExists);
+        assert_eq!(calls, 1, "a verdict is not a transient failure");
     }
 
     #[test]
     fn deadline_bounds_the_summed_pauses() {
-        fn check<B: StoreBackend>(root: &Path, b: Arc<Faulty<B>>) {
-            for i in 0..8 {
-                b.inject(FaultRule::on(FaultOp::Load, "", Fault::Transient).after(i));
-            }
-            let path = root.join("x");
-            b.publish(&path, b"p").unwrap();
-            let tight = RetryPolicy {
-                attempts: 8,
-                base: Duration::from_millis(10),
-                deadline: Duration::from_millis(12),
-                ..policy()
-            };
-            let err = tight.run(&*b, "load", || b.load(&path)).unwrap_err();
-            assert!(is_transient_kind(err.kind()));
-            assert!(err.to_string().contains("deadline exceeded"), "got: {err}");
-            assert!(b.virtual_waited() <= Duration::from_millis(12));
+        let root = TempDir::new("retry-deadline");
+        let b = Arc::new(Faulty::new(LocalDirBackend::new()));
+        for i in 0..8 {
+            b.inject(FaultRule::on(FaultOp::Load, "", Fault::Transient).after(i));
         }
-        on_each_substrate("retry-deadline", check, check);
+        let path = root.join("x");
+        b.publish(&path, b"p").unwrap();
+        let tight = RetryPolicy {
+            attempts: 8,
+            base: Duration::from_millis(10),
+            deadline: Duration::from_millis(12),
+            ..policy()
+        };
+        let err = tight.run(&*b, "load", || b.load(&path)).unwrap_err();
+        assert!(is_transient_kind(err.kind()));
+        assert!(err.to_string().contains("deadline exceeded"), "got: {err}");
+        assert!(b.virtual_waited() <= Duration::from_millis(12));
     }
 
     #[test]
@@ -525,46 +523,45 @@ mod tests {
 
     #[test]
     fn degraded_backend_fails_fast_and_spills_publishes() {
-        fn check<B: StoreBackend + 'static>(root: &Path, inner: Arc<Faulty<B>>) {
-            // A long outage: every gated operation times out.
-            inner.inject(FaultRule::on(
-                FaultOp::Load,
-                "",
-                Fault::Unavailable(usize::MAX),
-            ));
-            let wrapped = ResilientBackend::with_policy(
-                inner.clone(),
-                RetryPolicy {
-                    attempts: 2,
-                    ..policy()
-                },
-                HealthTracker::new(2, 4),
-            );
-            let entry = root.join("x.bin");
-            // Two exhausted loads trip the breaker...
-            assert!(wrapped.load(&root.join("a")).is_err());
-            assert!(wrapped.load(&root.join("b")).is_err());
-            assert!(wrapped.degraded());
-            // ...after which operations fail fast with the degraded marker
-            // and publishes are buffered for replay.
-            let err = wrapped.publish(&entry, b"payload").unwrap_err();
-            assert!(is_degraded(&err), "got: {err}");
-            assert_eq!(wrapped.spilled(), 1);
-            assert!(!inner.contains(&entry));
-            // Recovery: the outage ends; the 4th rejected op probes, the
-            // probe succeeds, the breaker closes, and the spill drains.
-            inner.clear_rules();
-            let mut attempts = 0;
-            while wrapped.degraded() && attempts < 16 {
-                let _ = wrapped.load(&entry);
-                attempts += 1;
-            }
-            assert!(!wrapped.degraded(), "breaker must close after a probe");
-            assert_eq!(wrapped.spilled(), 0, "spill drains on recovery");
-            assert_eq!(inner.load(&entry).unwrap(), b"payload");
-            // All of the above ran timing-free.
-            assert_eq!(wrapped.health().trips(), 1, "one trip for the whole outage");
+        let root = TempDir::new("degraded");
+        let inner = Arc::new(Faulty::new(LocalDirBackend::new()));
+        // A long outage: every gated operation times out.
+        inner.inject(FaultRule::on(
+            FaultOp::Load,
+            "",
+            Fault::Unavailable(usize::MAX),
+        ));
+        let wrapped = ResilientBackend::with_policy(
+            inner.clone(),
+            RetryPolicy {
+                attempts: 2,
+                ..policy()
+            },
+            HealthTracker::new(2, 4),
+        );
+        let entry = root.join("x.bin");
+        // Two exhausted loads trip the breaker...
+        assert!(wrapped.load(&root.join("a")).is_err());
+        assert!(wrapped.load(&root.join("b")).is_err());
+        assert!(wrapped.degraded());
+        // ...after which operations fail fast with the degraded marker
+        // and publishes are buffered for replay.
+        let err = wrapped.publish(&entry, b"payload").unwrap_err();
+        assert!(is_degraded(&err), "got: {err}");
+        assert_eq!(wrapped.spilled(), 1);
+        assert!(!inner.contains(&entry));
+        // Recovery: the outage ends; the 4th rejected op probes, the
+        // probe succeeds, the breaker closes, and the spill drains.
+        inner.clear_rules();
+        let mut attempts = 0;
+        while wrapped.degraded() && attempts < 16 {
+            let _ = wrapped.load(&entry);
+            attempts += 1;
         }
-        on_each_substrate("degraded", check, check);
+        assert!(!wrapped.degraded(), "breaker must close after a probe");
+        assert_eq!(wrapped.spilled(), 0, "spill drains on recovery");
+        assert_eq!(inner.load(&entry).unwrap(), b"payload");
+        // All of the above ran timing-free.
+        assert_eq!(wrapped.health().trips(), 1, "one trip for the whole outage");
     }
 }

@@ -319,9 +319,7 @@ impl Campaign {
         self.emit_run_started(&log, false);
         let run = self.finish_run(executor.run(graph));
         Self::emit_run_finished(&log, &run);
-        if let Some(store) = executor.cache().store() {
-            store.gc_from_env();
-        }
+        Self::gc_store(&executor);
         crate::campaign::write_trace(
             dir,
             &run.outcome,

@@ -675,7 +675,7 @@ pub fn gc_roots(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::{on_each_substrate, Fault, FaultOp, FaultRule, Faulty, TempDir};
+    use crate::testing::{Fault, FaultOp, FaultRule, Faulty, TempDir};
     use std::fs;
 
     #[test]
@@ -1027,27 +1027,26 @@ mod tests {
     /// lone transient evicted a good entry.
     #[test]
     fn transient_load_errors_do_not_evict() {
-        fn check<B: StoreBackend + 'static>(root: &Path, backend: Arc<Faulty<B>>) {
-            let store = DiskStore::open_with_backend(root, "", backend.clone()).unwrap();
-            store.save(JobKind::Train, 5, b"payload").unwrap();
-            backend.inject(FaultRule::on(FaultOp::Load, ".bin", Fault::Transient));
-            assert_eq!(
-                store.load(JobKind::Train, 5).unwrap(),
-                b"payload",
-                "one transient is retried through"
-            );
-            assert_eq!(store.stats().evictions, 0, "entry must not be evicted");
-            backend.inject(FaultRule::on(
-                FaultOp::Load,
-                "",
-                Fault::Unavailable(usize::MAX),
-            ));
-            assert!(store.load(JobKind::Train, 5).is_none(), "outage = miss");
-            assert_eq!(store.stats().evictions, 0, "entry must not be evicted");
-            backend.clear_rules();
-            assert_eq!(store.load(JobKind::Train, 5).unwrap(), b"payload");
-        }
-        on_each_substrate("store-transient", check, check);
+        let root = TempDir::new("store-transient");
+        let backend = Arc::new(Faulty::new(LocalDirBackend::new()));
+        let store = DiskStore::open_with_backend(&root, "", backend.clone()).unwrap();
+        store.save(JobKind::Train, 5, b"payload").unwrap();
+        backend.inject(FaultRule::on(FaultOp::Load, ".bin", Fault::Transient));
+        assert_eq!(
+            store.load(JobKind::Train, 5).unwrap(),
+            b"payload",
+            "one transient is retried through"
+        );
+        assert_eq!(store.stats().evictions, 0, "entry must not be evicted");
+        backend.inject(FaultRule::on(
+            FaultOp::Load,
+            "",
+            Fault::Unavailable(usize::MAX),
+        ));
+        assert!(store.load(JobKind::Train, 5).is_none(), "outage = miss");
+        assert_eq!(store.stats().evictions, 0, "entry must not be evicted");
+        backend.clear_rules();
+        assert_eq!(store.load(JobKind::Train, 5).unwrap(), b"payload");
     }
 
     /// A sweep already under budget still reports the protected entries
@@ -1055,19 +1054,18 @@ mod tests {
     /// protected roots for [`gc_roots`].
     #[test]
     fn under_budget_sweeps_count_their_protected_entries() {
-        fn check<B: StoreBackend + 'static>(root: &Path, backend: Arc<Faulty<B>>) {
-            let store = DiskStore::open_with_backend(root, "t", backend.clone()).unwrap();
-            store.save(JobKind::Lock, 1, b"live").unwrap();
-            store.save(JobKind::Train, 2, b"live too").unwrap();
-            let stats = store.gc(u64::MAX);
-            assert_eq!((stats.evicted_entries, stats.live_protected), (0, 2));
-            let objects = [store.objects_root()];
-            let stats = gc_roots(backend.as_ref(), &objects, &objects, u64::MAX);
-            assert_eq!((stats.evicted_entries, stats.live_protected), (0, 2));
-            let stats = gc_roots(backend.as_ref(), &objects, &[], u64::MAX);
-            assert_eq!((stats.evicted_entries, stats.live_protected), (0, 0));
-        }
-        on_each_substrate("store-gc-protected", check, check);
+        let root = TempDir::new("store-gc-protected");
+        let backend = Arc::new(Faulty::new(LocalDirBackend::new()));
+        let store = DiskStore::open_with_backend(&root, "t", backend.clone()).unwrap();
+        store.save(JobKind::Lock, 1, b"live").unwrap();
+        store.save(JobKind::Train, 2, b"live too").unwrap();
+        let stats = store.gc(u64::MAX);
+        assert_eq!((stats.evicted_entries, stats.live_protected), (0, 2));
+        let objects = [store.objects_root()];
+        let stats = gc_roots(backend.as_ref(), &objects, &objects, u64::MAX);
+        assert_eq!((stats.evicted_entries, stats.live_protected), (0, 2));
+        let stats = gc_roots(backend.as_ref(), &objects, &[], u64::MAX);
+        assert_eq!((stats.evicted_entries, stats.live_protected), (0, 0));
     }
 
     /// Opening a store collects hour-stale staging temps from its root
@@ -1075,61 +1073,58 @@ mod tests {
     /// temps and every campaign artifact alone, however old.
     #[test]
     fn open_sweeps_stale_staging_temps_from_the_root() {
-        fn check<B: StoreBackend + 'static>(root: &Path, backend: Arc<Faulty<B>>) {
-            DiskStore::open_with_backend(root, "", backend.clone()).unwrap();
-            let stale = [".tmp-77-0", ".gnnunlock-store.version.tmp-77-1"].map(|n| root.join(n));
-            let fresh = [".tmp-77-2", ".gnnunlock-store.version.tmp-77-3"].map(|n| root.join(n));
-            let artifacts = ["events.jsonl", "report.json", "status"].map(|n| root.join(n));
-            for p in stale.iter().chain(&fresh).chain(&artifacts) {
-                backend.publish(p, b"x").unwrap();
-            }
-            for p in stale.iter().chain(&artifacts) {
-                assert!(backend.age(p, Duration::from_secs(7200)));
-            }
-            DiskStore::open_with_backend(root, "", backend.clone()).unwrap();
-            for p in &stale {
-                assert!(!backend.contains(p), "stale {p:?} must be collected");
-            }
-            for p in fresh.iter().chain(&artifacts) {
-                assert!(backend.contains(p), "{p:?} must be left alone");
-            }
+        let root = TempDir::new("store-open-sweep");
+        let backend = Arc::new(Faulty::new(LocalDirBackend::new()));
+        DiskStore::open_with_backend(&root, "", backend.clone()).unwrap();
+        let stale = [".tmp-77-0", ".gnnunlock-store.version.tmp-77-1"].map(|n| root.join(n));
+        let fresh = [".tmp-77-2", ".gnnunlock-store.version.tmp-77-3"].map(|n| root.join(n));
+        let artifacts = ["events.jsonl", "report.json", "status"].map(|n| root.join(n));
+        for p in stale.iter().chain(&fresh).chain(&artifacts) {
+            backend.publish(p, b"x").unwrap();
         }
-        on_each_substrate("store-open-sweep", check, check);
+        for p in stale.iter().chain(&artifacts) {
+            assert!(backend.age(p, Duration::from_secs(7200)));
+        }
+        DiskStore::open_with_backend(&root, "", backend.clone()).unwrap();
+        for p in &stale {
+            assert!(!backend.contains(p), "stale {p:?} must be collected");
+        }
+        for p in fresh.iter().chain(&artifacts) {
+            assert!(backend.contains(p), "{p:?} must be left alone");
+        }
     }
 
-    /// The whole store surface works identically over any substrate
-    /// behind the fault decorator: version gate, round trip, corruption
-    /// eviction, GC.
+    /// The whole store surface works through the fault decorator: version
+    /// gate, round trip, corruption eviction, GC.
     #[test]
-    fn store_round_trips_and_gcs_on_each_substrate() {
-        fn check<B: StoreBackend + 'static>(root: &Path, backend: Arc<Faulty<B>>) {
-            let store = DiskStore::open_with_backend(root, "", backend.clone()).unwrap();
-            store.save(JobKind::Train, 42, b"payload").unwrap();
-            assert_eq!(store.load(JobKind::Train, 42).unwrap(), b"payload");
-            assert!(store.contains(JobKind::Train, 42));
-            assert_eq!(store.len(), 1);
+    fn store_round_trips_and_gcs_behind_the_fault_decorator() {
+        let root = TempDir::new("store-round-trip");
+        let backend = Arc::new(Faulty::new(LocalDirBackend::new()));
+        let store = DiskStore::open_with_backend(&root, "", backend.clone()).unwrap();
+        store.save(JobKind::Train, 42, b"payload").unwrap();
+        assert_eq!(store.load(JobKind::Train, 42).unwrap(), b"payload");
+        assert!(store.contains(JobKind::Train, 42));
+        assert_eq!(store.len(), 1);
 
-            // A second handle over the same backend shares entries and the
-            // version gate.
-            let other = DiskStore::open_with_backend(root, "", backend.clone()).unwrap();
-            assert_eq!(other.load(JobKind::Train, 42).unwrap(), b"payload");
+        // A second handle over the same backend shares entries and the
+        // version gate.
+        let other = DiskStore::open_with_backend(&root, "", backend.clone()).unwrap();
+        assert_eq!(other.load(JobKind::Train, 42).unwrap(), b"payload");
 
-            // Corrupt in place: evicted on load.
-            let path = store.entry_path(JobKind::Train, 42);
-            let mut bytes = backend.load(&path).unwrap();
-            let last = bytes.len() - 1;
-            bytes[last] ^= 0xff;
-            backend.publish(&path, &bytes).unwrap();
-            assert!(store.load(JobKind::Train, 42).is_none());
-            assert!(!backend.contains(&path), "corrupt entry evicted");
+        // Corrupt in place: evicted on load.
+        let path = store.entry_path(JobKind::Train, 42);
+        let mut bytes = backend.load(&path).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0xff;
+        backend.publish(&path, &bytes).unwrap();
+        assert!(store.load(JobKind::Train, 42).is_none());
+        assert!(!backend.contains(&path), "corrupt entry evicted");
 
-            // GC under a zero budget clears a fresh handle's view.
-            store.save(JobKind::Train, 43, b"x").unwrap();
-            let sweeper = DiskStore::open_with_backend(root, "", backend.clone()).unwrap();
-            let stats = sweeper.gc(0);
-            assert_eq!(stats.bytes_after, 0);
-            assert!(sweeper.is_empty());
-        }
-        on_each_substrate("store-round-trip", check, check);
+        // GC under a zero budget clears a fresh handle's view.
+        store.save(JobKind::Train, 43, b"x").unwrap();
+        let sweeper = DiskStore::open_with_backend(&root, "", backend.clone()).unwrap();
+        let stats = sweeper.gc(0);
+        assert_eq!(stats.bytes_after, 0);
+        assert!(sweeper.is_empty());
     }
 }

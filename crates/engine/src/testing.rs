@@ -1,21 +1,19 @@
 //! Test support shared by the engine's own tests and every crate that
 //! tests against it: the [`Faulty`] fault injector with its [`Fault`]
-//! vocabulary, the in-memory [`ObjectStoreBackend`], unique
-//! [`TempDir`]s, and the toy [`Echo`] campaign runner with its
-//! [`StringCodec`]. No production path uses this module.
+//! vocabulary, unique [`TempDir`]s, and the toy [`Echo`] campaign
+//! runner with its [`StringCodec`]. No production path uses this module.
 //!
-//! [`Faulty`] decorates any [`StoreBackend`] — the [`LocalDirBackend`]
-//! a real campaign persists through, or the in-memory
-//! [`ObjectStoreBackend`] — and applies a deterministic schedule of
-//! [`FaultRule`]s at the trait boundary: crashed writers, torn reads and
-//! writes, NFS-style delayed visibility, transient errors, latency,
-//! outage windows and slow reads. Crash, torn and visibility faults are
-//! staged through the substrate's own `publish`, `claim`, `entomb` and
-//! `load`, so a fault leaves behind exactly the state that substrate
-//! would hold. Mtimes are back-dated with [`Faulty::age`] instead of
-//! slept on, retry pauses are charged to a virtual clock, and every
-//! gated operation is journaled — so the crash/takeover matrix runs
-//! timing-free on a real directory as well as on the object map.
+//! [`Faulty`] decorates any [`StoreBackend`] — in the tests, the
+//! [`crate::LocalDirBackend`] a real campaign persists through — and
+//! applies a deterministic schedule of [`FaultRule`]s at the trait
+//! boundary: crashed writers, torn reads and writes, NFS-style delayed
+//! visibility, transient errors, latency, outage windows and slow reads.
+//! Crash, torn and visibility faults are staged through the substrate's
+//! own `publish`, `claim`, `entomb` and `load`, so a fault leaves behind
+//! exactly the state that substrate would hold. Mtimes are back-dated
+//! with [`Faulty::age`] instead of slept on, retry pauses are charged to
+//! a virtual clock, and every gated operation is journaled — so the
+//! crash/takeover matrix runs timing-free on a real directory.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -26,11 +24,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::backend::{FileMeta, LocalDirBackend, StoreBackend};
+use crate::backend::{FileMeta, StoreBackend};
 use crate::campaign::{CampaignRunner, StageJob};
 use crate::codec::ValueCodec;
 use crate::graph::{JobCtx, JobKind, JobOutput, JobValue};
-pub use crate::object::ObjectStoreBackend;
 
 /// The operation an injected fault targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -491,23 +488,6 @@ impl<B: StoreBackend> StoreBackend for Faulty<B> {
     }
 }
 
-/// Run one scenario on each substrate [`Faulty`] is exercised over: a
-/// fresh `Faulty<LocalDirBackend>`, then a fresh
-/// `Faulty<ObjectStoreBackend>`, each with its own [`TempDir`] as the
-/// scenario's root (the object map never touches it, but campaign event
-/// logs still go there). A closure cannot be generic over the substrate, so
-/// callers pass the same generic function twice.
-pub fn on_each_substrate(
-    tag: &str,
-    local: impl FnOnce(&Path, Arc<Faulty<LocalDirBackend>>),
-    object: impl FnOnce(&Path, Arc<Faulty<ObjectStoreBackend>>),
-) {
-    let dir = TempDir::new(&format!("{tag}-local"));
-    local(&dir, Arc::new(Faulty::new(LocalDirBackend::new())));
-    let dir = TempDir::new(&format!("{tag}-object"));
-    object(&dir, Arc::new(Faulty::new(ObjectStoreBackend::new())));
-}
-
 /// A deterministic pseudo-random schedule of *recoverable* faults
 /// (transient errors, delayed visibility, torn reads) for soak testing:
 /// the same `seed` always yields the same schedule, so a failing soak
@@ -651,121 +631,117 @@ impl CampaignRunner for Echo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::LocalDirBackend;
     use std::time::SystemTime;
 
     #[test]
     fn fault_rules_fire_once_in_schedule_order() {
-        fn check<B: StoreBackend>(root: &Path, b: Arc<Faulty<B>>) {
-            b.inject(FaultRule::on(FaultOp::Load, ".bin", Fault::Transient));
-            b.inject(FaultRule::on(FaultOp::Load, ".bin", Fault::Invisible).after(1));
-            let path = root.join("x.bin");
-            b.publish(&path, b"payload").unwrap();
-            // 1st load: transient. 2nd: the second rule has skipped one
-            // match, so it fires invisible. 3rd: clean.
-            assert_eq!(b.load(&path).unwrap_err().kind(), io::ErrorKind::WouldBlock);
-            assert_eq!(b.load(&path).unwrap_err().kind(), io::ErrorKind::NotFound);
-            assert_eq!(b.load(&path).unwrap(), b"payload");
-            assert_eq!(b.faults_fired(), 2);
-            let journal = b.journal();
-            assert_eq!(journal.len(), 4); // publish + 3 loads
-            assert_eq!(journal[1].fault, Some(Fault::Transient));
-            assert_eq!(journal[2].fault, Some(Fault::Invisible));
-            assert!(journal[3].ok && journal[3].fault.is_none());
-        }
-        on_each_substrate("fire-once", check, check);
+        let root = TempDir::new("fire-once");
+        let b = Arc::new(Faulty::new(LocalDirBackend::new()));
+        b.inject(FaultRule::on(FaultOp::Load, ".bin", Fault::Transient));
+        b.inject(FaultRule::on(FaultOp::Load, ".bin", Fault::Invisible).after(1));
+        let path = root.join("x.bin");
+        b.publish(&path, b"payload").unwrap();
+        // 1st load: transient. 2nd: the second rule has skipped one
+        // match, so it fires invisible. 3rd: clean.
+        assert_eq!(b.load(&path).unwrap_err().kind(), io::ErrorKind::WouldBlock);
+        assert_eq!(b.load(&path).unwrap_err().kind(), io::ErrorKind::NotFound);
+        assert_eq!(b.load(&path).unwrap(), b"payload");
+        assert_eq!(b.faults_fired(), 2);
+        let journal = b.journal();
+        assert_eq!(journal.len(), 4); // publish + 3 loads
+        assert_eq!(journal[1].fault, Some(Fault::Transient));
+        assert_eq!(journal[2].fault, Some(Fault::Invisible));
+        assert!(journal[3].ok && journal[3].fault.is_none());
     }
 
     #[test]
     fn crash_before_rename_leaves_an_orphan_tmp_not_a_torn_entry() {
-        fn check<B: StoreBackend>(root: &Path, b: Arc<Faulty<B>>) {
-            b.inject(FaultRule::on(
-                FaultOp::Publish,
-                "entry.bin",
-                Fault::CrashBeforeRename,
-            ));
-            let path = root.join("objects/entry.bin");
-            assert!(b.publish(&path, b"payload").is_err());
-            assert!(!b.contains(&path), "final path untouched by the crash");
-            let orphans: Vec<_> = b
-                .list(path.parent().unwrap(), false)
-                .unwrap()
-                .into_iter()
-                .filter(|m| {
-                    m.path
-                        .file_name()
-                        .and_then(|n| n.to_str())
-                        .is_some_and(|n| n.starts_with(".tmp-"))
-                })
-                .collect();
-            assert_eq!(orphans.len(), 1, "crash leaves exactly the staged temp");
-            assert_eq!(b.load(&orphans[0].path).unwrap(), b"payload");
-            // Retried publish (no fault left) succeeds.
-            b.publish(&path, b"payload").unwrap();
-            assert_eq!(b.load(&path).unwrap(), b"payload");
-        }
-        on_each_substrate("crash-publish", check, check);
+        let root = TempDir::new("crash-publish");
+        let b = Arc::new(Faulty::new(LocalDirBackend::new()));
+        b.inject(FaultRule::on(
+            FaultOp::Publish,
+            "entry.bin",
+            Fault::CrashBeforeRename,
+        ));
+        let path = root.join("objects/entry.bin");
+        assert!(b.publish(&path, b"payload").is_err());
+        assert!(!b.contains(&path), "final path untouched by the crash");
+        let orphans: Vec<_> = b
+            .list(path.parent().unwrap(), false)
+            .unwrap()
+            .into_iter()
+            .filter(|m| {
+                m.path
+                    .file_name()
+                    .and_then(|n| n.to_str())
+                    .is_some_and(|n| n.starts_with(".tmp-"))
+            })
+            .collect();
+        assert_eq!(orphans.len(), 1, "crash leaves exactly the staged temp");
+        assert_eq!(b.load(&orphans[0].path).unwrap(), b"payload");
+        // Retried publish (no fault left) succeeds.
+        b.publish(&path, b"payload").unwrap();
+        assert_eq!(b.load(&path).unwrap(), b"payload");
     }
 
     #[test]
     fn torn_claim_leaves_a_partial_lease_file() {
-        fn check<B: StoreBackend>(root: &Path, b: Arc<Faulty<B>>) {
-            b.inject(FaultRule::on(FaultOp::Claim, ".lease", Fault::TornWrite(7)));
-            let path = root.join("objects/x.lease");
-            assert!(b.claim(&path, b"gnnunlock-lease owner=a gen=0\n").is_err());
-            assert_eq!(b.load(&path).unwrap(), b"gnnunlo");
-            // The torn file *exists*: a later claimant must see AlreadyExists.
-            let err = b.claim(&path, b"other\n").unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::AlreadyExists);
-        }
-        on_each_substrate("torn-claim", check, check);
+        let root = TempDir::new("torn-claim");
+        let b = Arc::new(Faulty::new(LocalDirBackend::new()));
+        b.inject(FaultRule::on(FaultOp::Claim, ".lease", Fault::TornWrite(7)));
+        let path = root.join("objects/x.lease");
+        assert!(b.claim(&path, b"gnnunlock-lease owner=a gen=0\n").is_err());
+        assert_eq!(b.load(&path).unwrap(), b"gnnunlo");
+        // The torn file *exists*: a later claimant must see AlreadyExists.
+        let err = b.claim(&path, b"other\n").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::AlreadyExists);
     }
 
     #[test]
     fn crash_after_entomb_applies_the_rename_then_errors() {
-        fn check<B: StoreBackend>(root: &Path, b: Arc<Faulty<B>>) {
-            b.inject(FaultRule::on(
-                FaultOp::Entomb,
-                ".lease",
-                Fault::CrashAfterEntomb,
-            ));
-            let path = root.join("objects/x.lease");
-            let tomb = root.join("objects/x.lease.tomb-1-0");
-            b.claim(&path, b"victim\n").unwrap();
-            assert!(b.entomb(&path, &tomb).is_err());
-            assert!(!b.contains(&path), "lease gone: the rename was applied");
-            assert_eq!(b.load(&tomb).unwrap(), b"victim\n");
-        }
-        on_each_substrate("crash-entomb", check, check);
+        let root = TempDir::new("crash-entomb");
+        let b = Arc::new(Faulty::new(LocalDirBackend::new()));
+        b.inject(FaultRule::on(
+            FaultOp::Entomb,
+            ".lease",
+            Fault::CrashAfterEntomb,
+        ));
+        let path = root.join("objects/x.lease");
+        let tomb = root.join("objects/x.lease.tomb-1-0");
+        b.claim(&path, b"victim\n").unwrap();
+        assert!(b.entomb(&path, &tomb).is_err());
+        assert!(!b.contains(&path), "lease gone: the rename was applied");
+        assert_eq!(b.load(&tomb).unwrap(), b"victim\n");
     }
 
     #[test]
     fn age_backdates_mtime_and_list_until_the_path_is_rewritten() {
-        fn check<B: StoreBackend>(root: &Path, b: Arc<Faulty<B>>) {
-            let path = root.join("objects/x.lease");
-            let hour = Duration::from_secs(3600);
-            let stale = || {
-                let listed = b.list(path.parent().unwrap(), false).unwrap();
-                let aged = |t: SystemTime| t <= SystemTime::now() - hour;
-                assert_eq!(aged(listed[0].mtime), aged(b.mtime(&path).unwrap()));
-                aged(listed[0].mtime)
-            };
-            assert!(!b.age(&path, hour), "an absent path cannot age");
-            b.claim(&path, b"mine").unwrap();
-            assert!(b.age(&path, hour));
-            assert!(stale());
-            // A rival's failed claim is no rewrite: the lease stays stale.
-            assert!(b.claim(&path, b"rival").is_err());
-            assert!(stale());
-            b.refresh(&path).unwrap();
-            assert!(!stale(), "a refresh ends the age");
-            b.age(&path, hour);
-            b.publish(&path, b"rewritten").unwrap();
-            assert!(!stale(), "a rewrite ends the age");
-            b.age(&path, hour);
-            b.remove(&path).unwrap();
-            assert!(b.ages.lock().unwrap().is_empty(), "a removal ends the age");
-        }
-        on_each_substrate("age", check, check);
+        let root = TempDir::new("age");
+        let b = Arc::new(Faulty::new(LocalDirBackend::new()));
+        let path = root.join("objects/x.lease");
+        let hour = Duration::from_secs(3600);
+        let stale = || {
+            let listed = b.list(path.parent().unwrap(), false).unwrap();
+            let aged = |t: SystemTime| t <= SystemTime::now() - hour;
+            assert_eq!(aged(listed[0].mtime), aged(b.mtime(&path).unwrap()));
+            aged(listed[0].mtime)
+        };
+        assert!(!b.age(&path, hour), "an absent path cannot age");
+        b.claim(&path, b"mine").unwrap();
+        assert!(b.age(&path, hour));
+        assert!(stale());
+        // A rival's failed claim is no rewrite: the lease stays stale.
+        assert!(b.claim(&path, b"rival").is_err());
+        assert!(stale());
+        b.refresh(&path).unwrap();
+        assert!(!stale(), "a refresh ends the age");
+        b.age(&path, hour);
+        b.publish(&path, b"rewritten").unwrap();
+        assert!(!stale(), "a rewrite ends the age");
+        b.age(&path, hour);
+        b.remove(&path).unwrap();
+        assert!(b.ages.lock().unwrap().is_empty(), "a removal ends the age");
     }
 
     #[test]
@@ -803,60 +779,57 @@ mod tests {
 
     #[test]
     fn latency_fault_errs_timed_out_and_charges_the_virtual_clock() {
-        fn check<B: StoreBackend>(root: &Path, b: Arc<Faulty<B>>) {
-            b.inject(FaultRule::on(FaultOp::Load, ".bin", Fault::Latency(7)));
-            let path = root.join("x.bin");
-            b.publish(&path, b"payload").unwrap();
-            let err = b.load(&path).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::TimedOut);
-            assert_eq!(b.virtual_waited(), Duration::from_millis(7));
-            // The retry succeeds and a backoff wait is charged, not slept.
-            b.backoff_wait(Duration::from_millis(13));
-            assert_eq!(b.load(&path).unwrap(), b"payload");
-            assert_eq!(b.virtual_waited(), Duration::from_millis(20));
-        }
-        on_each_substrate("latency", check, check);
+        let root = TempDir::new("latency");
+        let b = Arc::new(Faulty::new(LocalDirBackend::new()));
+        b.inject(FaultRule::on(FaultOp::Load, ".bin", Fault::Latency(7)));
+        let path = root.join("x.bin");
+        b.publish(&path, b"payload").unwrap();
+        let err = b.load(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        assert_eq!(b.virtual_waited(), Duration::from_millis(7));
+        // The retry succeeds and a backoff wait is charged, not slept.
+        b.backoff_wait(Duration::from_millis(13));
+        assert_eq!(b.load(&path).unwrap(), b"payload");
+        assert_eq!(b.virtual_waited(), Duration::from_millis(20));
     }
 
     #[test]
     fn unavailable_fault_opens_a_window_over_every_operation() {
-        fn check<B: StoreBackend>(root: &Path, b: Arc<Faulty<B>>) {
-            b.inject(FaultRule::on(FaultOp::Load, "", Fault::Unavailable(2)));
-            let path = root.join("x.bin");
-            b.publish(&path, b"payload").unwrap();
-            // The matched load fails and opens a 2-op window: the next two
-            // operations — whatever their kind or path — fail too.
-            assert_eq!(b.load(&path).unwrap_err().kind(), io::ErrorKind::TimedOut);
-            assert_eq!(
-                b.publish(&root.join("y.bin"), b"z").unwrap_err().kind(),
-                io::ErrorKind::TimedOut
-            );
-            assert_eq!(
-                b.refresh(&path).unwrap_err().kind(),
-                io::ErrorKind::TimedOut
-            );
-            // Window exhausted: service back.
-            assert_eq!(b.load(&path).unwrap(), b"payload");
-            // clear_rules also closes a half-consumed window.
-            b.inject(FaultRule::on(FaultOp::Load, "", Fault::Unavailable(9)));
-            assert!(b.load(&path).is_err());
-            b.clear_rules();
-            assert_eq!(b.load(&path).unwrap(), b"payload");
-        }
-        on_each_substrate("unavailable", check, check);
+        let root = TempDir::new("unavailable");
+        let b = Arc::new(Faulty::new(LocalDirBackend::new()));
+        b.inject(FaultRule::on(FaultOp::Load, "", Fault::Unavailable(2)));
+        let path = root.join("x.bin");
+        b.publish(&path, b"payload").unwrap();
+        // The matched load fails and opens a 2-op window: the next two
+        // operations — whatever their kind or path — fail too.
+        assert_eq!(b.load(&path).unwrap_err().kind(), io::ErrorKind::TimedOut);
+        assert_eq!(
+            b.publish(&root.join("y.bin"), b"z").unwrap_err().kind(),
+            io::ErrorKind::TimedOut
+        );
+        assert_eq!(
+            b.refresh(&path).unwrap_err().kind(),
+            io::ErrorKind::TimedOut
+        );
+        // Window exhausted: service back.
+        assert_eq!(b.load(&path).unwrap(), b"payload");
+        // clear_rules also closes a half-consumed window.
+        b.inject(FaultRule::on(FaultOp::Load, "", Fault::Unavailable(9)));
+        assert!(b.load(&path).is_err());
+        b.clear_rules();
+        assert_eq!(b.load(&path).unwrap(), b"payload");
     }
 
     #[test]
     fn slow_read_succeeds_with_full_bytes_but_is_charged() {
-        fn check<B: StoreBackend>(root: &Path, b: Arc<Faulty<B>>) {
-            b.inject(FaultRule::on(FaultOp::Load, ".bin", Fault::SlowRead));
-            let path = root.join("x.bin");
-            b.publish(&path, b"payload").unwrap();
-            assert_eq!(b.load(&path).unwrap(), b"payload");
-            assert!(b.virtual_waited() > Duration::ZERO);
-            assert_eq!(b.faults_fired(), 1);
-        }
-        on_each_substrate("slow-read", check, check);
+        let root = TempDir::new("slow-read");
+        let b = Arc::new(Faulty::new(LocalDirBackend::new()));
+        b.inject(FaultRule::on(FaultOp::Load, ".bin", Fault::SlowRead));
+        let path = root.join("x.bin");
+        b.publish(&path, b"payload").unwrap();
+        assert_eq!(b.load(&path).unwrap(), b"payload");
+        assert!(b.virtual_waited() > Duration::ZERO);
+        assert_eq!(b.faults_fired(), 1);
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! The backend-conformance suite: every [`StoreBackend`] implementation
 //! must discharge the same protocol obligations — atomic last-writer-
-//! wins publish, exactly-one-winner claim, rename/swap-arbitrated
-//! takeover, and usage accounting that never bills in-flight protocol
-//! blobs. Every test below runs against both substrates (`local`
-//! directories, the conditional-put `object` map) and against a
+//! wins publish, exactly-one-winner claim, rename-arbitrated takeover,
+//! and usage accounting that never bills in-flight protocol blobs. This
+//! suite is where those obligations are asserted. Every test below runs
+//! against the `local` directory backend that ships and against a
 //! rule-free [`Faulty`] over a local directory — which proves the fault
 //! decorator transparent — in one process, so a contract regression
 //! names the offending backend. The last two drive whole layers over
 //! each backend: a [`DiskStore`] shared by two handles, and a sharded
 //! campaign run cold then warm.
 
-use gnnunlock_engine::testing::{Echo, Faulty, ObjectStoreBackend, TempDir};
+use gnnunlock_engine::testing::{Echo, Faulty, TempDir};
 use gnnunlock_engine::{
     execution_counts, shard_replays, Campaign, DiskStore, ExecConfig, JobKind, LocalDirBackend,
     ReportOptions, ShardConfig, StoreBackend,
@@ -25,11 +25,6 @@ fn conformance_backends(tag: &str) -> Vec<(&'static str, Arc<dyn StoreBackend>, 
     vec![
         ("local", Arc::new(LocalDirBackend::new()), root("local")),
         (
-            "object",
-            Arc::new(ObjectStoreBackend::new()),
-            root("object"),
-        ),
-        (
             "faulty-local",
             Arc::new(Faulty::new(LocalDirBackend::new())),
             root("faulty-local"),
@@ -38,8 +33,9 @@ fn conformance_backends(tag: &str) -> Vec<(&'static str, Arc<dyn StoreBackend>, 
 }
 
 /// Publish is an atomic last-writer-wins swap on every backend: a later
-/// publish replaces an earlier one, and racing publishers never leave
-/// interleaved bytes under the final name.
+/// publish replaces an earlier one, racing publishers never leave
+/// interleaved bytes under the final name, and successful publishes
+/// leave no staging debris beside it.
 #[test]
 fn conformance_publish_is_atomic_and_last_writer_wins() {
     for (name, backend, root) in conformance_backends("publish") {
@@ -48,6 +44,7 @@ fn conformance_publish_is_atomic_and_last_writer_wins() {
         backend.publish(&path, b"first").unwrap();
         backend.publish(&path, b"second").unwrap();
         assert_eq!(backend.load(&path).unwrap(), b"second", "{name}: LWW");
+        assert!(backend.contains(&path), "{name}");
 
         let payloads: Vec<Vec<u8>> = (0..8)
             .map(|i| format!("payload-{i:02}").into_bytes())
@@ -63,6 +60,16 @@ fn conformance_publish_is_atomic_and_last_writer_wins() {
         assert!(
             payloads.contains(&got),
             "{name}: racing publishes tore the entry: {got:?}"
+        );
+        let leftovers: Vec<_> = backend
+            .list(path.parent().unwrap(), false)
+            .unwrap()
+            .into_iter()
+            .filter(|m| m.path != path)
+            .collect();
+        assert!(
+            leftovers.is_empty(),
+            "{name}: staging debris: {leftovers:?}"
         );
     }
 }
@@ -110,10 +117,9 @@ fn conformance_claim_has_exactly_one_winner() {
 }
 
 /// Takeover arbitration: of N concurrent challengers entombing one
-/// stale lease to distinct tomb names, exactly one wins (rename on
-/// filesystems, the ETag-conditional swap on blobs), losers fail
-/// `NotFound` and leave no tomb debris, and the winner's tomb carries
-/// the buried bytes.
+/// stale lease to distinct tomb names, exactly one wins (the rename
+/// arbitrates), losers fail `NotFound` and leave no tomb debris, and the
+/// winner's tomb carries the buried bytes.
 #[test]
 fn conformance_takeover_entomb_arbitrates_one_winner() {
     for (name, backend, root) in conformance_backends("entomb") {

@@ -9,7 +9,7 @@
 //! — so the parallel, fused kernels are bit-identical to the historical
 //! sum-then-scale passes for any thread count.
 
-use gnnunlock_neural::{kernel_threads, Matrix, Workspace};
+use gnnunlock_neural::{for_row_blocks, Matrix, Workspace};
 
 /// Output elements (nodes · columns) below which an aggregation stays
 /// on one thread. On a 2-vCPU guest, with the other CPU idle, two threads
@@ -173,14 +173,8 @@ impl Csr {
             "aggregate output shape mismatch"
         );
         let cols = x.cols();
-        let n_threads = if self.num_nodes() * cols >= PARALLEL_ELEMENTS {
-            kernel_threads()
-        } else {
-            1
-        };
-        let rows_per = self.num_nodes().div_ceil(n_threads.max(1)).max(1);
-        let out_data = out.data_mut();
-        let body = |start: usize, chunk: &mut [f32]| {
+        let threaded = self.num_nodes() * cols >= PARALLEL_ELEMENTS;
+        for_row_blocks(threaded, out.data_mut(), cols, |start, chunk| {
             for (local, row) in chunk.chunks_mut(cols.max(1)).enumerate() {
                 let v = start + local;
                 row.fill(0.0);
@@ -198,16 +192,6 @@ impl Csr {
                         }
                     }
                 }
-            }
-        };
-        if n_threads <= 1 || cols == 0 {
-            body(0, out_data);
-            return;
-        }
-        std::thread::scope(|scope| {
-            for (t, chunk) in out_data.chunks_mut(rows_per * cols).enumerate() {
-                let body = &body;
-                scope.spawn(move || body(t * rows_per, chunk));
             }
         });
     }

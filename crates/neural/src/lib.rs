@@ -34,6 +34,6 @@ pub use layers::{
 pub use loss::{
     inverse_frequency_weights, softmax_cross_entropy, softmax_cross_entropy_ws, LossOutput,
 };
-pub use matrix::{kernel_threads, reference, Matrix};
+pub use matrix::{for_row_blocks, reference, Matrix};
 pub use metrics::Metrics;
 pub use workspace::Workspace;

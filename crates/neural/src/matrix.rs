@@ -107,13 +107,41 @@ const PARALLEL_WORK: usize = 1 << 23;
 /// Threads a data-parallel kernel may use: the CPUs this process may
 /// run on, capped at 16. Read once per process and cached — asking the
 /// OS reads cgroup files, which cost more than a small product.
-pub fn kernel_threads() -> usize {
+fn kernel_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| {
         std::thread::available_parallelism()
             .map_or(1, |n| n.get())
             .min(16)
     })
+}
+
+/// Split `out` (`rows x cols`, flat) into contiguous row blocks, one
+/// scoped thread each, and run `body(first_row, block)` on every block
+/// — or `body(0, out)` once, when `threaded` is false (the caller's
+/// work gate) or only one CPU is available. Block boundaries are
+/// multiples of the GEMM tile height, so only the last block has a row
+/// remainder. Every output row is produced entirely by one invocation,
+/// so the split never changes results, only wall-clock.
+pub fn for_row_blocks(
+    threaded: bool,
+    out: &mut [f32],
+    cols: usize,
+    body: impl Fn(usize, &mut [f32]) + Sync,
+) {
+    let threads = if threaded { kernel_threads() } else { 1 };
+    let rows = out.len() / cols.max(1);
+    if threads <= 1 || rows == 0 {
+        body(0, out);
+        return;
+    }
+    let per = rows.div_ceil(threads).div_ceil(MR) * MR;
+    std::thread::scope(|scope| {
+        for (t, block) in out.chunks_mut(per * cols).enumerate() {
+            let body = &body;
+            scope.spawn(move || body(t * per, block));
+        }
+    });
 }
 
 /// Micro-kernel tile height (output rows per register tile).
@@ -512,7 +540,7 @@ pub(crate) fn packed_len(k: usize, n: usize) -> usize {
 /// `matmul_transpose` (packed `bᵀ`) and `transpose_matmul` (`aᵀ` and
 /// `b` read in place).
 mod kernels {
-    use super::{kernel_threads, MR, NR, PARALLEL_WORK};
+    use super::{for_row_blocks, MR, NR, PARALLEL_WORK};
 
     /// The left operand as the tile reads it: element `(i, kk)` of the
     /// logical `m x k` matrix is `data[i * row + kk * step]`.
@@ -775,7 +803,7 @@ mod kernels {
             return;
         }
         let m = out.len() / n.max(1);
-        for_row_blocks(m, m * k * n, out, n, |r0, block| {
+        for_row_blocks(m * k * n >= PARALLEL_WORK, out, n, |r0, block| {
             let h = block.len() / n.max(1);
             for t0 in (0..h).step_by(MR) {
                 let own = (h - t0).min(MR);
@@ -788,39 +816,6 @@ mod kernels {
                         block[o..o + w].copy_from_slice(&c_row[..w]);
                     }
                 }
-            }
-        });
-    }
-
-    /// Split `out` (`rows x cols`, flat) into contiguous row blocks with
-    /// deterministic per-thread ownership and run `body(first_row,
-    /// block)` on each — single-threaded when the product's `work`
-    /// (multiply-adds) is below [`PARALLEL_WORK`] or when only one CPU
-    /// is available. Because every output row is produced entirely by
-    /// one invocation, the split never changes results, only wall-clock.
-    fn for_row_blocks(
-        rows: usize,
-        work: usize,
-        out: &mut [f32],
-        cols: usize,
-        body: impl Fn(usize, &mut [f32]) + Sync,
-    ) {
-        let threads = if work < PARALLEL_WORK {
-            1
-        } else {
-            kernel_threads()
-        };
-        if threads <= 1 || cols == 0 {
-            body(0, out);
-            return;
-        }
-        // MR-aligned block boundaries so only the last block has a row
-        // remainder.
-        let per = rows.div_ceil(threads).div_ceil(MR) * MR;
-        std::thread::scope(|scope| {
-            for (t, block) in out.chunks_mut(per * cols).enumerate() {
-                let body = &body;
-                scope.spawn(move || body(t * per, block));
             }
         });
     }

@@ -192,9 +192,8 @@ fn probe_ahead_elides_interior_stages_nobody_needs() {
 // process death. The exhaustive crash/takeover matrix (every crash
 // window, torn writes, delayed visibility, seeded fault soak) lives in
 // `crates/engine/tests/fault_matrix.rs`, through the deterministic
-// `testing::Faulty` decorator over this same `LocalDirBackend` (and
-// over the object map), where it needs no TTL waits, kill timing, or
-// child processes.
+// `testing::Faulty` decorator over this same `LocalDirBackend`, where
+// it needs no TTL waits, kill timing, or child processes.
 // ---------------------------------------------------------------------
 
 const STALL_DIR_ENV: &str = "GNNUNLOCK_TEST_STALL_DIR";
